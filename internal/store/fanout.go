@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -312,20 +313,9 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 	}
 
 	unavail := make(map[int]bool)
+	hinted := s.unreachableLocked()
 	for {
-		failed := s.failedDisksLocked()
-		for d := range unavail {
-			failed = append(failed, d)
-		}
-		sort.Ints(failed)
-		failed = dedupInts(failed)
-
-		var plan *core.Plan
-		if len(failed) == 0 {
-			plan, err = s.scheme.PlanNormalRead(startElem, count)
-		} else {
-			plan, err = s.scheme.PlanDegradedReadBiased(startElem, count, failed, core.PolicyMinCost, s.inflightBias())
-		}
+		plan, avoid, err := s.planRead(startElem, count, unavail, hinted, s.inflightBias())
 		if err != nil {
 			release()
 			if len(unavail) > 0 {
@@ -346,6 +336,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 			ctx:         ctx,
 			startStripe: startStripe,
 			fetched:     fetched,
+			avoid:       avoid,
 			newUnavail:  make(map[int]bool),
 			errs:        make(map[int]error),
 		}
@@ -402,7 +393,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 		if err != nil {
 			return nil, err
 		}
-		s.obs.observeRead(len(failed) > 0, plan.MaxLoad())
+		s.obs.observeRead(len(avoid) > 0, plan.MaxLoad())
 		return &ReadResult{Data: data, Plan: plan}, nil
 	}
 }
@@ -450,6 +441,7 @@ type fanoutPass struct {
 	ctx         context.Context
 	startStripe int
 	fetched     []*stripeCells
+	avoid       []int // devices the plan routed around; hedges avoid them too
 	hedge       bool
 	hedgeDelay  time.Duration
 
@@ -741,7 +733,8 @@ func (p *fanoutPass) execHedged(run devRun) error {
 }
 
 // hedgeFetch rebuilds every cell of a straggling run from a recovery set of
-// its code group that avoids the straggler itself and every failed device.
+// its code group that avoids the straggler itself and every device the plan
+// routed around (failed, unavailable, or reported unreachable).
 // Returned buffers are arena-owned copies. On any failure it recycles what
 // it built and reports the error; the caller falls back to the primary.
 func (p *fanoutPass) hedgeFetch(ctx context.Context, run devRun) ([][]byte, error) {
@@ -769,7 +762,7 @@ func (p *fanoutPass) hedgeFetch(ctx context.Context, run devRun) ([][]byte, erro
 			for _, t := range set {
 				pos := lay.GroupCell(cell.Group, t)
 				disk := lay.Disk(sl.key.stripe, pos.Col)
-				if disk == run.dev || s.devices[disk].failed {
+				if disk == run.dev || slices.Contains(p.avoid, disk) {
 					continue sets
 				}
 				data, err := s.readCellCtx(ctx, disk, cellKey{sl.key.stripe, pos})

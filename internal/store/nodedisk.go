@@ -47,13 +47,18 @@ func (ds *DiskStore) ElemSize() int { return ds.elem }
 
 // ReadRun returns count cells starting at slot as one contiguous buffer plus
 // each cell's recorded checksum. Any slot in the run the disk never stored
-// fails the whole run with ErrCellMissing.
+// fails the whole run with ErrCellMissing, before any buffer is allocated:
+// a run reaching past the occupied extent is refused outright, so count
+// alone can never size an allocation.
 func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	if slot < 0 || count < 1 {
 		return nil, nil, fmt.Errorf("store: disk read run [%d,+%d): bad range", slot, count)
 	}
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
+	if count > ds.be.slots()-slot {
+		return nil, nil, errCellMissing
+	}
 	if r, ok := ds.be.(runIO); ok {
 		return r.readRun(slot, count)
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -808,11 +809,36 @@ func (s *Store) PlanRead(off int64, length int) (*core.Plan, error) {
 	startElem := int(off / int64(s.elemSize))
 	endElem := int((off + int64(length) - 1) / int64(s.elemSize))
 	count := endElem - startElem + 1
-	failed := s.failedDisksLocked()
-	if len(failed) == 0 {
-		return s.scheme.PlanNormalRead(startElem, count)
+	plan, _, err := s.planRead(startElem, count, nil, s.unreachableLocked(), nil)
+	return plan, err
+}
+
+// planRead plans count elements from startElem around every failed device
+// and every device in unavail (devices that failed an earlier pass of this
+// read). It also avoids the hinted devices, whose backends report themselves
+// unreachable, but the hint must never cost a read: when excluding them too
+// makes the plan infeasible, it plans from the failed and unavailable
+// devices alone, and a hinted device that really is down then surfaces
+// through the ordinary replan. It returns the plan and the devices it
+// avoided, ascending. Caller holds mu.
+func (s *Store) planRead(startElem, count int, unavail map[int]bool, hinted, bias []int) (*core.Plan, []int, error) {
+	avoid := s.failedDisksLocked()
+	for d := range unavail {
+		avoid = append(avoid, d)
 	}
-	return s.scheme.PlanDegradedRead(startElem, count, failed)
+	if len(hinted) > 0 {
+		withHint := sortedUnique(append(append([]int(nil), avoid...), hinted...))
+		if plan, err := s.scheme.PlanDegradedReadBiased(startElem, count, withHint, core.PolicyMinCost, bias); err == nil {
+			return plan, withHint, nil
+		}
+	}
+	avoid = sortedUnique(avoid)
+	if len(avoid) == 0 {
+		plan, err := s.scheme.PlanNormalRead(startElem, count)
+		return plan, nil, err
+	}
+	plan, err := s.scheme.PlanDegradedReadBiased(startElem, count, avoid, core.PolicyMinCost, bias)
+	return plan, avoid, err
 }
 
 // readAt executes one read under whichever lock the caller holds. With
@@ -820,11 +846,12 @@ func (s *Store) PlanRead(off int64, length int) (*core.Plan, error) {
 // to the exclusive lock); with heal=true (exclusive lock held) corrupt cells
 // are rebuilt and rewritten in place.
 //
-// Devices that exhaust their retry budget mid-plan are collected and the
-// read re-plans with them treated as failed (degraded fallback). The loop
-// terminates: each iteration either returns or grows the unavailable set,
-// and planning fails with ErrUnrecoverable once too much of the array is
-// out of service.
+// The first plan already avoids devices whose backends report themselves
+// unreachable (see planRead). Devices that exhaust their retry budget
+// mid-plan are collected and the read re-plans with them treated as failed
+// (degraded fallback). The loop terminates: each iteration either returns
+// or grows the unavailable set, and planning fails with ErrUnrecoverable
+// once too much of the array is out of service.
 func (s *Store) readAt(ctx context.Context, off int64, length int, heal bool) (*ReadResult, error) {
 	startElem, count, err := s.checkReadRange(off, length)
 	if err != nil {
@@ -853,23 +880,11 @@ func (s *Store) readAt(ctx context.Context, off int64, length int, heal bool) (*
 	}
 
 	unavail := make(map[int]bool) // devices that proved slow-or-erroring
+	hinted := s.unreachableLocked()
 
 replan:
 	for {
-		failed := s.failedDisksLocked()
-		for d := range unavail {
-			failed = append(failed, d)
-		}
-		sort.Ints(failed)
-		failed = dedupInts(failed)
-
-		var plan *core.Plan
-		var err error
-		if len(failed) == 0 {
-			plan, err = s.scheme.PlanNormalRead(startElem, count)
-		} else {
-			plan, err = s.scheme.PlanDegradedRead(startElem, count, failed)
-		}
+		plan, avoid, err := s.planRead(startElem, count, unavail, hinted, nil)
 		if err != nil {
 			release()
 			if len(unavail) > 0 {
@@ -923,20 +938,15 @@ replan:
 		if err != nil {
 			return nil, err
 		}
-		s.obs.observeRead(len(failed) > 0, plan.MaxLoad())
+		s.obs.observeRead(len(avoid) > 0, plan.MaxLoad())
 		return &ReadResult{Data: data, Plan: plan, Healed: healed}, nil
 	}
 }
 
-// dedupInts removes adjacent duplicates from a sorted slice, in place.
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+// sortedUnique sorts xs and removes its duplicates, in place.
+func sortedUnique(xs []int) []int {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 // keysSorted returns the map's keys ascending, for stable error text.

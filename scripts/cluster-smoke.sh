@@ -15,7 +15,9 @@
 #   4. /metrics shows the failure handling: replans, degraded-mode reads, and
 #      the dead node's up-gauge at 0 — and /readyz stays 200 (a degraded
 #      cluster is serving, not down),
-#   5. the gateway and surviving nodes drain gracefully on SIGTERM.
+#   5. once the prober has seen the node die, reads plan around it from their
+#      first pass: another full round of GETs moves no replan counter,
+#   6. the gateway and surviving nodes drain gracefully on SIGTERM.
 #
 # Exits nonzero (and dumps the process logs) on any miss.
 set -eu
@@ -184,7 +186,19 @@ gw /readyz -o /dev/null || {
     exit 1
 }
 
-# --- 5. graceful drain -------------------------------------------------------
+# --- 5. a node the prober knows is down costs no replans ---------------------
+replans() { # sum of ecfrm_store_read_replans_total over every group
+    gw /metrics | awk '/^ecfrm_store_read_replans_total[{ ]/ { s += $NF } END { print s + 0 }'
+}
+BEFORE=$(replans)
+verify_all "" "node 3 probed down"
+AFTER=$(replans)
+if [ "$AFTER" -ne "$BEFORE" ]; then
+    echo "cluster-smoke: reads replanned ($BEFORE -> $AFTER) around a node already probed down" >&2
+    exit 1
+fi
+
+# --- 6. graceful drain -------------------------------------------------------
 kill -TERM "$GW_PID"
 wait "$GW_PID"
 grep -q "drained" "$TMP/gateway.log" || {
