@@ -27,10 +27,6 @@ import (
 	"repro/internal/store"
 )
 
-// maxRunBytes bounds one cell-run request body (64 MiB) so a bad client
-// cannot balloon node memory.
-const maxRunBytes = 64 << 20
-
 // Config configures a data node.
 type Config struct {
 	// ElemSize is the cell size in bytes; every extent on the node uses it.
