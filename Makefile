@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test ci vet race race-io bench-smoke bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
+.PHONY: all build test ci vet race race-io ownership bench-smoke bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
 
 all: build
 
@@ -25,6 +25,13 @@ race:
 # metrics registry every scrape races against.
 race-io:
 	$(GO) test -race ./internal/httpd/... ./internal/store/... ./internal/shardio/... ./internal/obs/... ./internal/gateway/... ./internal/datanode/...
+
+# The read-buffer ownership tests, repeated under the race detector: results
+# held while concurrent reads recycle theirs, memory-backend cells kept out
+# of the arena, and passes that replan around a device or node killed
+# mid-read (see ReadBuffers in internal/store/readbuf.go).
+ownership:
+	$(GO) test -race -count=10 -run 'ReadBuffers' ./internal/store ./internal/gateway
 
 # A fast benchmark pass (one short iteration per benchmark) that catches
 # panics/regressions in the bench harnesses without waiting for full timings.
@@ -156,4 +163,4 @@ chaos:
 	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault|StreamSinkFault' \
 		./internal/faultinject/ ./internal/shardio/
 
-ci: vet race race-io bench-smoke widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos
+ci: vet race race-io ownership bench-smoke widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos

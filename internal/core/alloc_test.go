@@ -136,16 +136,51 @@ func TestBuffersRecycle(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector, so recycling is not deterministic")
 	}
 	var b Buffers
-	s1 := b.GetShard(128)
-	b.PutShard(s1)
-	s2 := b.GetShard(64)
-	if cap(s2) < 128 {
-		t.Fatalf("expected recycled 128-cap buffer, got cap %d", cap(s2))
+	same := func(x, y []byte) bool { return &x[:1][0] == &y[:1][0] }
+
+	// A fresh buffer carries its whole class's capacity, and is reused for
+	// any request in that class (65..128 bytes is class 7).
+	s1 := b.GetShard(100)
+	if len(s1) != 100 || cap(s1) != 128 {
+		t.Fatalf("GetShard(100): len %d cap %d, want 100 and 128", len(s1), cap(s1))
 	}
+	b.PutShard(s1)
+	for _, n := range []int{65, 128, 100} {
+		s := b.GetShard(n)
+		if len(s) != n || !same(s, s1) {
+			t.Fatalf("GetShard(%d): len %d, reused %v; want the pooled class-7 buffer", n, len(s), same(s, s1))
+		}
+		b.PutShard(s)
+	}
+
+	// A request of the next class up is never handed the shorter buffer.
+	s2 := b.GetShard(129)
+	if len(s2) != 129 || cap(s2) < 129 || same(s2, s1) {
+		t.Fatalf("GetShard(129): len %d cap %d, reused the 128-byte buffer %v", len(s2), cap(s2), same(s2, s1))
+	}
+
+	// Mixed sizes do not evict each other: each class keeps its own buffer.
 	b.PutShard(s2)
-	s3 := b.GetShard(256) // larger than anything pooled: fresh allocation
-	if len(s3) != 256 {
-		t.Fatalf("got %d bytes, want 256", len(s3))
+	if s := b.GetShard(128); !same(s, s1) {
+		t.Fatal("class 7 lost its buffer when class 8 was filled")
+	}
+	if s := b.GetShard(256); !same(s, s2) {
+		t.Fatal("class 8 lost its buffer")
+	}
+
+	// A foreign buffer files under ⌊log2 cap⌋ and serves only requests it
+	// covers: cap 200 is class 7, so it serves 128 bytes, never 129.
+	foreign := make([]byte, 200)
+	b.PutShard(foreign)
+	if s := b.GetShard(129); same(s, foreign) {
+		t.Fatal("a 200-byte buffer served a 256-byte class")
+	}
+	if s := b.GetShard(128); !same(s, foreign) || len(s) != 128 {
+		t.Fatal("a 200-byte buffer was not reused for a 128-byte request")
+	}
+
+	if s := b.GetShard(0); len(s) != 0 {
+		t.Fatalf("GetShard(0) = %d bytes", len(s))
 	}
 	cells := [][]byte{[]byte{1}, nil, []byte{2, 3}}
 	b.PutShards(cells)

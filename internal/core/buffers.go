@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/codes"
@@ -10,35 +11,42 @@ import (
 // encode/reconstruct paths (EncodeStripeInto, ReconstructStripeInto,
 // RebuildDataInto) draw every parity and decode-output buffer from it, so a
 // long-running server performs zero heap allocations per stripe once the
-// pools are warm.
+// pools are warm. The store's read path draws device runs, wire frames and
+// assembled objects — 1 to 20 cells, 64 KiB to over a megabyte — from one.
 //
-// Two pools cooperate: shards holds recycled backing arrays (as *[]byte so
-// the slice header itself lives on the heap exactly once), and headers holds
-// empty *[]byte containers so PutShard never allocates a header either. A
-// buffer whose capacity no longer matches the requested size is dropped on
-// the floor for the GC — the pool self-heals when shard sizes change.
+// Buffers are pooled in power-of-two size classes, one pool per class, so
+// mixed sizes never evict each other: GetShard(n) serves class ⌈log2 n⌉ and
+// allocates a fresh buffer with exactly that class's capacity, and PutShard
+// files a buffer under ⌊log2 cap⌋. Every buffer in class c has capacity at
+// least 2^c, so a recycled buffer is never shorter than asked for. A second
+// pool holds empty *[]byte containers so PutShard never allocates a header.
 //
 // The zero value is ready to use, and all methods are safe for concurrent
 // use. Buffers returned by GetShard have unspecified contents; every
-// consumer in this package fully overwrites them.
+// consumer fully overwrites them.
 type Buffers struct {
-	shards  sync.Pool // *[]byte with non-nil backing array
-	headers sync.Pool // *[]byte with nil backing array
+	classes [bits.UintSize]sync.Pool // *[]byte with non-nil backing array
+	headers sync.Pool                // *[]byte with nil backing array
 }
 
-// GetShard returns a buffer of exactly size bytes, reusing pooled memory
-// when a large-enough backing array is available.
+// GetShard returns a buffer of exactly size bytes, reusing pooled memory of
+// size's class when any is available.
 func (b *Buffers) GetShard(size int) []byte {
-	if v := b.shards.Get(); v != nil {
+	if size <= 0 {
+		return make([]byte, size)
+	}
+	c := bits.Len(uint(size - 1)) // ⌈log2 size⌉
+	if c >= bits.UintSize-1 {
+		return make([]byte, size) // no power-of-two capacity fits an int
+	}
+	if v := b.classes[c].Get(); v != nil {
 		p := v.(*[]byte)
 		s := *p
 		*p = nil
 		b.headers.Put(p)
-		if cap(s) >= size {
-			return s[:size]
-		}
+		return s[:size]
 	}
-	return make([]byte, size)
+	return make([]byte, size, 1<<c)
 }
 
 // PutShard returns a buffer to the arena for reuse. The caller must not
@@ -55,7 +63,7 @@ func (b *Buffers) PutShard(buf []byte) {
 		p = new([]byte)
 	}
 	*p = buf[:cap(buf)]
-	b.shards.Put(p)
+	b.classes[bits.Len(uint(cap(buf)))-1].Put(p) // ⌊log2 cap⌋
 }
 
 // PutShards returns every non-nil buffer in bufs to the arena and nils the

@@ -99,12 +99,14 @@ func (s *Server) handleReadRun(w http.ResponseWriter, r *http.Request) {
 	s.readCells.Add(int64(count))
 	s.readBytes.Add(int64(len(data)))
 	// Length-framed reply: the header, then the device buffer as read, with
-	// no frame-sized copy in between.
+	// no frame-sized copy in between. Write keeps no reference to the
+	// buffer, so it goes back to the arena as soon as Write returns.
 	hdr := nodeapi.AppendRunHeader(nil, s.cfg.ElemSize, crcs)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+len(data)))
 	w.Write(hdr)
 	w.Write(data)
+	store.ReadBuffers.PutShard(data)
 }
 
 func (s *Server) handleWriteRun(w http.ResponseWriter, r *http.Request) {

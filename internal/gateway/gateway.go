@@ -465,10 +465,12 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request, name string)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.Data)))
 	w.Header().Set("X-Read-Cost", fmt.Sprintf("%.3f", res.Plan.Cost()))
 	w.Header().Set("X-Max-Disk-Load", strconv.Itoa(res.Plan.MaxLoad()))
 	w.Header().Set("X-Placement-Group", strconv.Itoa(grp))
 	w.Write(res.Data)
+	res.Release()
 }
 
 func (g *Gateway) headObject(w http.ResponseWriter, name string) {

@@ -159,57 +159,58 @@ func (rc *remoteCell) url(path string) string { return rc.nc.base + path }
 // probe, so reads plan around a node the prober has seen die.
 func (rc *remoteCell) Unreachable() bool { return !rc.nc.up.Load() }
 
-// ReadRun fetches count cells from slot. A run that fits one frame
-// (nodeapi.MaxRunCells) is read into one exactly-sized buffer that the
-// returned payload aliases, so each byte is copied once off the wire; a
-// longer run — fan-out coalesces a device's contiguous slots with no length
-// limit — is fetched as several frames the node will accept and joined.
+// ReadRun fetches count cells from slot into one buffer from
+// store.ReadBuffers, which the store recycles once it has assembled the
+// read. Each frame's payload is read off the wire straight into its place in
+// that buffer, so each byte is copied once: a run that fits one frame
+// (nodeapi.MaxRunCells) is one request, and a longer run — fan-out coalesces
+// a device's contiguous slots with no length limit — is several requests the
+// node will accept, each filling its own slice.
 func (rc *remoteCell) ReadRun(slot, count int) ([]byte, []uint32, error) {
+	data := store.ReadBuffers.GetShard(count * rc.elem)
 	per := nodeapi.MaxRunCells(rc.elem)
-	if count <= per {
-		return rc.readFrame(slot, count)
-	}
-	data := make([]byte, 0, count*rc.elem)
-	crcs := make([]uint32, 0, count)
+	var crcs []uint32
 	for done := 0; done < count; {
 		n := min(per, count-done)
-		d, c, err := rc.readFrame(slot+done, n)
+		c, err := rc.readFrame(slot+done, data[done*rc.elem:(done+n)*rc.elem])
 		if err != nil {
 			return nil, nil, err
 		}
-		data, crcs = append(data, d...), append(crcs, c...)
+		crcs = append(crcs, c...)
 		done += n
 	}
 	return data, crcs, nil
 }
 
-// readFrame fetches one length-framed run of at most MaxRunCells cells.
-func (rc *remoteCell) readFrame(slot, count int) ([]byte, []uint32, error) {
+// readFrame fetches one length-framed run of at most MaxRunCells cells,
+// reading its payload into dst (len(dst)/elem cells).
+func (rc *remoteCell) readFrame(slot int, dst []byte) ([]uint32, error) {
+	count := len(dst) / rc.elem
 	u := fmt.Sprintf("%s?slot=%d&count=%d", rc.url(nodeapi.CellsPath(rc.group, rc.disk)), slot, count)
 	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	resp, err := rc.nc.do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if resp.StatusCode == http.StatusNotFound && resp.Header.Get(nodeapi.MissingHeader) != "" {
 		drainClose(resp)
-		return nil, nil, fmt.Errorf("%w: node %s group %d disk %d slot %d",
+		return nil, fmt.Errorf("%w: node %s group %d disk %d slot %d",
 			store.ErrCellMissing, rc.nc.base, rc.group, rc.disk, slot)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, errBody(rc.nc, resp)
+		return nil, errBody(rc.nc, resp)
 	}
 	defer resp.Body.Close()
-	data, crcs, err := nodeapi.ReadFrame(resp.Body, rc.elem, count)
+	crcs, err := nodeapi.ReadFrame(resp.Body, rc.elem, dst)
 	if err != nil {
 		rc.nc.errs.Inc()
-		return nil, nil, fmt.Errorf("node %s: %w", rc.nc.base, err)
+		return nil, fmt.Errorf("node %s: %w", rc.nc.base, err)
 	}
-	rc.nc.readBytes.Add(int64(len(data)))
-	return data, crcs, nil
+	rc.nc.readBytes.Add(int64(len(dst)))
+	return crcs, nil
 }
 
 // WriteRun ships the frame as its header followed by the caller's payload,

@@ -397,7 +397,7 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 		return
 	}
 	opts, nocache := s.parseReadOptions(r)
-	data, cost, maxLoad, err := s.readObject(r.Context(), obj, opts, nocache)
+	data, cost, maxLoad, res, err := s.readObject(r.Context(), obj, opts, nocache)
 	if err != nil {
 		// Both flavors of degradation are availability failures, but
 		// exhausted retries against slow/erroring devices are transient:
@@ -409,9 +409,13 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request, name string) 
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Header().Set("X-Read-Cost", fmt.Sprintf("%.3f", cost))
 	w.Header().Set("X-Max-Disk-Load", strconv.Itoa(maxLoad))
 	w.Write(data)
+	if res != nil {
+		res.Release()
+	}
 }
 
 // headObject serves object metadata without decoding or transferring the
@@ -442,14 +446,16 @@ func (s *Server) headObject(w http.ResponseWriter, _ *http.Request, name string)
 // cached payloads are immutable once published. The context cancels device
 // waits when the client disconnects; nocache requests neither consult nor
 // fill the cache (latency benchmarking must hit the executor every time).
-func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOptions, nocache bool) ([]byte, float64, int, error) {
+// A payload that did not go into the cache comes with its read result,
+// which the caller releases once the payload is written.
+func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOptions, nocache bool) ([]byte, float64, int, *store.ReadResult, error) {
 	obj.mu.Lock()
 	defer obj.mu.Unlock()
 	epoch := s.store.Epoch()
 	if c := obj.cache; c != nil {
 		if c.epoch == epoch && !nocache {
 			s.cacheHits.Inc()
-			return c.data, c.cost, c.maxLoad, nil
+			return c.data, c.cost, c.maxLoad, nil, nil
 		}
 		if c.epoch != epoch {
 			// Stale: drop it and release its budget before re-reading.
@@ -460,17 +466,23 @@ func (s *Server) readObject(ctx context.Context, obj *object, opts store.ReadOpt
 	s.cacheMisses.Inc()
 	res, err := s.store.ReadAtCtx(ctx, obj.meta.Off, obj.meta.Size, opts)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, nil, err
 	}
 	cost, maxLoad := res.Plan.Cost(), res.Plan.MaxLoad()
 	// Cache small objects while the budget lasts. A healing read bumps the
 	// epoch itself, so re-check: only results still current are cacheable.
+	// The cache keeps an exact-size copy: the read's buffer has its arena
+	// size class's capacity, up to twice its length, and the budget counts
+	// lengths.
 	if !nocache && obj.meta.Size <= maxCachedObjectBytes && s.store.Epoch() == epoch && res.Healed == 0 &&
 		s.cacheBytes.Load()+int64(len(res.Data)) <= cacheBudgetBytes {
-		obj.cache = &cachedRead{epoch: epoch, data: res.Data, cost: cost, maxLoad: maxLoad}
-		s.cacheBytes.Add(int64(len(res.Data)))
+		data := append([]byte(nil), res.Data...)
+		res.Release()
+		obj.cache = &cachedRead{epoch: epoch, data: data, cost: cost, maxLoad: maxLoad}
+		s.cacheBytes.Add(int64(len(data)))
+		return data, cost, maxLoad, nil, nil
 	}
-	return res.Data, cost, maxLoad, nil
+	return res.Data, cost, maxLoad, res, nil
 }
 
 // Status is the admin status document.

@@ -73,6 +73,27 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetContentLength: a GET declares the object's size up front and is
+// not sent chunked — a cache fill, a cache hit, and an uncached read alike.
+func TestGetContentLength(t *testing.T) {
+	ts, _ := newTestServer(t)
+	payload := make([]byte, 10_000) // well over the 2 KiB net/http sizes on its own
+	rand.New(rand.NewSource(2)).Read(payload)
+	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/objects/big", payload); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT status %d", resp.StatusCode)
+	}
+	for _, q := range []string{"", "", "?nocache=1"} {
+		resp, got := doReq(t, http.MethodGet, ts.URL+"/objects/big"+q, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, payload) {
+			t.Fatalf("GET%s: status %d, byte-identical %v", q, resp.StatusCode, bytes.Equal(got, payload))
+		}
+		if resp.ContentLength != int64(len(payload)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("GET%s: Content-Length %d, Transfer-Encoding %v; want %d, not chunked",
+				q, resp.ContentLength, resp.TransferEncoding, len(payload))
+		}
+	}
+}
+
 func TestObjectErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/objects/missing", nil); resp.StatusCode != http.StatusNotFound {

@@ -23,9 +23,10 @@
 // size and the cell count alone (FrameLen), and both directions send it
 // with that Content-Length, never chunked. The sender writes the prefix
 // (AppendRunHeader) and then the payload straight from its own buffer, so
-// the frame is never assembled in one piece. The receiver allocates the
-// exact frame once and fills it (ReadFrame): no buffer growth, no second
-// copy, and a body that ends early or runs long is rejected.
+// the frame is never assembled in one piece. The receiver reads the prefix
+// and then the payload straight into a buffer it supplies (ReadFrame): no
+// buffer growth, no second copy, and a body that ends early or runs long is
+// rejected.
 package nodeapi
 
 import (
@@ -86,27 +87,48 @@ func EncodeRun(elem int, data []byte, crcs []uint32) []byte {
 	return append(out, data...)
 }
 
-// ReadFrame reads one frame of exactly count cells of elem bytes from r into
-// a single FrameLen-sized buffer and decodes it with DecodeRun's checks. A
-// body that ends before the frame does, or carries bytes after it, is an
-// error. The returned payload aliases that one buffer.
-func ReadFrame(r io.Reader, elem, count int) (data []byte, crcs []uint32, err error) {
-	if count < 1 || count > maxRunCells {
-		return nil, nil, fmt.Errorf("nodeapi: cell count %d out of range", count)
+// ReadFrame reads one frame of len(data)/elem cells of elem bytes from r:
+// the prefix into a small buffer of its own, the payload straight into data,
+// which the caller supplies and owns. It applies DecodeRun's checks — magic,
+// element size, the cell count the caller asked for — and a body that ends
+// before the frame does, or carries a byte after it, is an error. On error
+// no checksums are returned and data's contents are unspecified.
+func ReadFrame(r io.Reader, elem int, data []byte) (crcs []uint32, err error) {
+	if elem < 1 || len(data)%elem != 0 {
+		return nil, fmt.Errorf("nodeapi: %d-byte payload is not whole %d-byte cells", len(data), elem)
 	}
-	buf := make([]byte, FrameLen(elem, count))
-	if n, err := io.ReadFull(r, buf); err != nil {
-		return nil, nil, fmt.Errorf("nodeapi: cell-run frame truncated at %d of %d bytes: %w", n, len(buf), err)
+	count := len(data) / elem
+	if count < 1 || count > maxRunCells {
+		return nil, fmt.Errorf("nodeapi: cell count %d out of range", count)
+	}
+	want := FrameLen(elem, count)
+	hdr := make([]byte, runHeaderLen+4*count)
+	if n, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("nodeapi: cell-run frame truncated at %d of %d bytes: %w", n, want, err)
+	}
+	if string(hdr[:4]) != Magic {
+		return nil, fmt.Errorf("nodeapi: bad cell-run frame magic %q", hdr[:4])
+	}
+	if got := int(binary.LittleEndian.Uint32(hdr[4:])); got != elem {
+		return nil, fmt.Errorf("nodeapi: element size %d, want %d", got, elem)
+	}
+	if got := int(binary.LittleEndian.Uint32(hdr[8:])); got != count {
+		return nil, fmt.Errorf("nodeapi: frame declares %d cells, want %d", got, count)
+	}
+	if n, err := io.ReadFull(r, data); err != nil {
+		return nil, fmt.Errorf("nodeapi: cell-run frame truncated at %d of %d bytes: %w", len(hdr)+n, want, err)
 	}
 	var extra [1]byte
 	if n, err := io.ReadFull(r, extra[:]); n > 0 {
-		return nil, nil, fmt.Errorf("nodeapi: cell-run body longer than its %d-byte frame", len(buf))
+		return nil, fmt.Errorf("nodeapi: cell-run body longer than its %d-byte frame", want)
 	} else if !errors.Is(err, io.EOF) {
-		return nil, nil, fmt.Errorf("nodeapi: cell-run frame: %w", err)
+		return nil, fmt.Errorf("nodeapi: cell-run frame: %w", err)
 	}
-	// FrameLen grows with count, so a frame declaring any other count fails
-	// DecodeRun's exact-length check.
-	return DecodeRun(buf, elem)
+	crcs = make([]uint32, count)
+	for i := range crcs {
+		crcs[i] = binary.LittleEndian.Uint32(hdr[runHeaderLen+4*i:])
+	}
+	return crcs, nil
 }
 
 // DecodeRun parses a cell-run frame, validating the framing invariants

@@ -2,6 +2,7 @@ package nodeapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -44,20 +45,22 @@ func randomRun(rng *rand.Rand, elem, count int) ([]byte, []uint32) {
 	return data, crcs
 }
 
-// TestReadFrame: an exact frame decodes to the payload it carries, and every
-// way a body can disagree with the frame the reader asked for is an error.
+// TestReadFrame: an exact frame fills the caller's buffer with the payload
+// it carries and returns its checksums, and every way a body can disagree
+// with the frame the reader asked for is an error that returns no checksums.
 func TestReadFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, elem := range []int{1, 64, 4096} {
 		for _, count := range []int{1, 2, 7} {
 			data, crcs := randomRun(rng, elem, count)
 			frame := EncodeRun(elem, data, crcs)
-
-			gotData, gotCRCs, err := ReadFrame(bytes.NewReader(frame), elem, count)
+			hdrLen := FrameLen(elem, count) - elem*count
+			got := make([]byte, elem*count)
+			gotCRCs, err := ReadFrame(bytes.NewReader(frame), elem, got)
 			if err != nil {
 				t.Fatalf("elem %d count %d: %v", elem, count, err)
 			}
-			if !bytes.Equal(gotData, data) || len(gotCRCs) != count {
+			if !bytes.Equal(got, data) || len(gotCRCs) != count {
 				t.Fatalf("elem %d count %d: payload mismatch", elem, count)
 			}
 			for i := range crcs {
@@ -65,28 +68,47 @@ func TestReadFrame(t *testing.T) {
 					t.Fatalf("elem %d count %d: crc %d = %x, want %x", elem, count, i, gotCRCs[i], crcs[i])
 				}
 			}
-
+			patched := func(off int, v uint32) []byte {
+				b := append([]byte(nil), frame...)
+				binary.LittleEndian.PutUint32(b[off:], v)
+				return b
+			}
 			bad := map[string]struct {
-				body  []byte
-				count int
+				body    []byte
+				elem    int
+				payload int // bytes of caller buffer
 			}{
-				"truncated":      {frame[:len(frame)-1], count},
-				"header only":    {frame[:FrameLen(elem, count)-elem*count], count},
-				"over-long":      {append(append([]byte(nil), frame...), 0), count},
-				"fewer cells":    {frame, count + 1},
-				"bad magic":      {append([]byte("XXXX"), frame[4:]...), count},
-				"empty":          {nil, count},
-				"count too high": {frame, 1<<22 + 1},
+				"empty":                      {nil, elem, elem * count},
+				"truncated in magic":         {frame[:2], elem, elem * count},
+				"truncated in header":        {frame[:runHeaderLen-1], elem, elem * count},
+				"truncated in checksums":     {frame[:hdrLen-1], elem, elem * count},
+				"header only":                {frame[:hdrLen], elem, elem * count},
+				"truncated in payload":       {frame[:len(frame)-1], elem, elem * count},
+				"over-long":                  {append(append([]byte(nil), frame...), 0), elem, elem * count},
+				"bad magic":                  {append([]byte("XXXX"), frame[4:]...), elem, elem * count},
+				"wrong element size":         {frame, elem + 1, (elem + 1) * count},
+				"declared element size":      {patched(4, uint32(elem+1)), elem, elem * count},
+				"fewer cells than asked":     {frame, elem, elem * (count + 1)},
+				"more cells than asked":      {frame, elem, elem * (count - 1)},
+				"declared count":             {patched(8, uint32(count+1)), elem, elem * count},
+				"payload not whole cells":    {frame, elem, elem*count + 1},
+				"frame of another elem size": {EncodeRun(elem+1, make([]byte, (elem+1)*count), crcs), elem, elem * count},
 			}
 			for name, c := range bad {
-				if _, _, err := ReadFrame(bytes.NewReader(c.body), elem, c.count); err == nil {
-					t.Fatalf("elem %d count %d: %s body accepted", elem, count, name)
+				buf := make([]byte, c.payload)
+				gotCRCs, err := ReadFrame(bytes.NewReader(c.body), c.elem, buf)
+				if err == nil || gotCRCs != nil {
+					t.Fatalf("elem %d count %d: %s body accepted (err %v, %d checksums)", elem, count, name, err, len(gotCRCs))
 				}
 			}
-			if _, _, err := ReadFrame(bytes.NewReader(frame), elem+1, count); err == nil {
-				t.Fatalf("elem %d count %d: wrong element size accepted", elem, count)
-			}
 		}
+	}
+	// A count over the frame limit is refused before anything is read.
+	if _, err := ReadFrame(bytes.NewReader(nil), 1, make([]byte, maxRunCells+1)); err == nil {
+		t.Fatal("count over the frame limit accepted")
+	}
+	if _, err := ReadFrame(bytes.NewReader(nil), 0, nil); err == nil {
+		t.Fatal("zero element size accepted")
 	}
 }
 
@@ -95,7 +117,7 @@ func TestReadFrame(t *testing.T) {
 func TestReadFrameReadError(t *testing.T) {
 	frame := EncodeRun(4, []byte("abcd"), []uint32{7})
 	r := io.MultiReader(bytes.NewReader(frame), &failingReader{})
-	_, _, err := ReadFrame(r, 4, 1)
+	_, err := ReadFrame(r, 4, make([]byte, 4))
 	if !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("err = %v, want the trailing read error", err)
 	}

@@ -298,12 +298,7 @@ func (b *fileBackend) readCell(slot int) ([]byte, uint32, error) {
 	if slot < 0 || slot >= len(b.present) || !b.present[slot] {
 		return nil, 0, errCellMissing
 	}
-	var buf []byte
-	if b.direct {
-		buf = alignedBytes(b.elemSize)
-	} else {
-		buf = make([]byte, b.elemSize)
-	}
+	buf := b.readBuf(b.elemSize)
 	if _, err := b.q.SubmitWait(OpRead, int64(slot)*int64(b.elemSize), buf); err != nil {
 		return nil, 0, fmt.Errorf("store: device read slot %d: %w", slot, err)
 	}
@@ -318,16 +313,20 @@ func (b *fileBackend) readRun(slot, count int) ([]byte, []uint32, error) {
 			return nil, nil, errCellMissing
 		}
 	}
-	var buf []byte
-	if b.direct {
-		buf = alignedBytes(count * b.elemSize)
-	} else {
-		buf = make([]byte, count*b.elemSize)
-	}
+	buf := b.readBuf(count * b.elemSize)
 	if _, err := b.q.SubmitWait(OpRead, int64(slot)*int64(b.elemSize), buf); err != nil {
 		return nil, nil, fmt.Errorf("store: device read run [%d,+%d): %w", slot, count, err)
 	}
 	return buf, b.crcs[slot : slot+count], nil
+}
+
+// readBuf returns an n-byte read buffer: aligned memory under O_DIRECT,
+// otherwise one from ReadBuffers (see readbuf.go for who hands it back).
+func (b *fileBackend) readBuf(n int) []byte {
+	if b.direct {
+		return alignedBytes(n)
+	}
+	return ReadBuffers.GetShard(n)
 }
 
 func (b *fileBackend) grow(bound int) {

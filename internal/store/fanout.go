@@ -303,21 +303,13 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 	endElem := startElem + count - 1
 	startStripe := startElem / dps
 	fetched := make([]*stripeCells, endElem/dps-startStripe+1)
-	release := func() {
-		for i, sc := range fetched {
-			if sc != nil {
-				s.putStripeCells(sc)
-				fetched[i] = nil
-			}
-		}
-	}
 
 	unavail := make(map[int]bool)
 	hinted := s.unreachableLocked()
 	for {
 		plan, avoid, err := s.planRead(startElem, count, unavail, hinted, s.inflightBias())
 		if err != nil {
-			release()
+			// Nothing is held here: every pass releases before looping.
 			if len(unavail) > 0 {
 				return nil, fmt.Errorf("%w: degraded fallback exhausted (unavailable %v): %w",
 					ErrUnavailable, keysSorted(unavail), err)
@@ -326,9 +318,7 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 		}
 
 		for i := range fetched {
-			if fetched[i] == nil {
-				fetched[i] = s.getStripeCells()
-			}
+			fetched[i] = s.getStripeCells()
 		}
 
 		p := &fanoutPass{
@@ -368,28 +358,24 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 				unavail[d] = true
 			}
 			s.obs.replan()
-			for i, sc := range fetched {
-				if sc != nil {
-					s.putStripeCells(sc)
-					fetched[i] = nil
-				}
-			}
+			p.release()
 			continue
 		case p.corrupt:
 			// Persistent corruption needs the exclusive lock to heal.
-			release()
+			p.release()
 			return nil, errNeedsHeal
 		case len(p.errs) > 0:
-			release()
+			p.release()
 			return nil, p.firstErr()
 		}
 		if err := ctx.Err(); err != nil {
-			release()
+			p.release()
 			return nil, err
 		}
 
+		// The run buffers go back only after assemble has copied out.
 		data, err := s.assemble(fetched, startStripe, startElem, endElem, off, length)
-		release()
+		p.release()
 		if err != nil {
 			return nil, err
 		}
@@ -398,13 +384,14 @@ func (s *Store) fanoutRead(ctx context.Context, off int64, length int, opts Read
 	}
 }
 
-// assemble decodes the requested elements out of the fetched cells into a
-// fresh exactly-sized buffer. Shards decoded here (lost elements) draw their
-// buffers from the arena and are registered as owned, so the caller's
-// release recycles them.
+// assemble decodes the requested elements out of the fetched cells into an
+// exactly-sized buffer from ReadBuffers, which it fills completely (so the
+// buffer needs no zeroing). Shards decoded here (lost elements) draw their
+// buffers from the store's arena and are registered as owned, so the
+// caller's release recycles them.
 func (s *Store) assemble(fetched []*stripeCells, startStripe, startElem, endElem int, off int64, length int) ([]byte, error) {
 	dps := s.scheme.DataPerStripe()
-	data := make([]byte, length)
+	data := ReadBuffers.GetShard(length)
 	written := 0
 	for x := startElem; x <= endElem; x++ {
 		stripe, e := x/dps, x%dps
@@ -449,7 +436,23 @@ type fanoutPass struct {
 	newUnavail map[int]bool
 	corrupt    bool
 	errs       map[int]error // first internal error per device
+	runBufs    [][]byte      // run buffers bulk backends handed over
 	stragglers sync.WaitGroup
+}
+
+// release recycles everything the pass holds: the stripe containers with
+// their decoded shards, and every recorded run buffer. Callers release only
+// once nothing reads the fetched cells any more — after assemble has copied
+// the requested bytes out, or on a replan or error exit.
+func (p *fanoutPass) release() {
+	for i, sc := range p.fetched {
+		p.s.putStripeCells(sc)
+		p.fetched[i] = nil
+	}
+	for _, b := range p.runBufs {
+		ReadBuffers.PutShard(b)
+	}
+	p.runBufs = nil
 }
 
 // firstErr returns the recorded error of the lowest-numbered device, so the
@@ -603,14 +606,22 @@ func (p *fanoutPass) execRun(ctx context.Context, run devRun, staged [][]byte) e
 			continue
 		}
 		var readErr error
-		if _, bulk := d.be.(runIO); bulk && len(run.slots) > 1 {
-			// Bulk backend (file-backed device): the whole coalesced run is
-			// one positioned pread through the submission queue — the modeled
-			// one-positioning-cost-per-run now literally holds on disk.
-			cells, err := d.readRun(run.slots[0].key, len(run.slots))
+		if r, bulk := d.be.(runIO); bulk {
+			// Bulk backend (file-backed or remote device): the whole
+			// coalesced run is one positioned pread through the submission
+			// queue, or one node request — the modeled
+			// one-positioning-cost-per-run now literally holds. The run
+			// buffer is the pass's to recycle, unless a hedged primary
+			// stages it (see ReadBuffers).
+			cells, raw, err := d.readRun(r, run.slots[0].key, len(run.slots))
 			if err != nil {
 				readErr = err
 			} else {
+				if staged == nil {
+					p.mu.Lock()
+					p.runBufs = append(p.runBufs, raw)
+					p.mu.Unlock()
+				}
 				for i, sl := range run.slots {
 					if staged != nil {
 						staged[i] = cells[i]

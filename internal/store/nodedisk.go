@@ -46,10 +46,12 @@ func OpenFileDisk(dataPath, crcPath string, elemSize int, cfg FileConfig) (*Disk
 func (ds *DiskStore) ElemSize() int { return ds.elem }
 
 // ReadRun returns count cells starting at slot as one contiguous buffer plus
-// each cell's recorded checksum. Any slot in the run the disk never stored
-// fails the whole run with ErrCellMissing, before any buffer is allocated:
-// a run reaching past the occupied extent is refused outright, so count
-// alone can never size an allocation.
+// each cell's recorded checksum. The buffer is the caller's, drawn from
+// ReadBuffers (or aligned memory under O_DIRECT): hand it back with
+// ReadBuffers.PutShard once it has been written out. Any slot in the run
+// the disk never stored fails the whole run with ErrCellMissing, before any
+// buffer is allocated: a run reaching past the occupied extent is refused
+// outright, so count alone can never size an allocation.
 func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	if slot < 0 || count < 1 {
 		return nil, nil, fmt.Errorf("store: disk read run [%d,+%d): bad range", slot, count)
@@ -62,7 +64,8 @@ func (ds *DiskStore) ReadRun(slot, count int) ([]byte, []uint32, error) {
 	if r, ok := ds.be.(runIO); ok {
 		return r.readRun(slot, count)
 	}
-	data := make([]byte, 0, count*ds.elem)
+	// Memory cells are the disk's live storage: the caller gets a copy.
+	data := ReadBuffers.GetShard(count * ds.elem)[:0]
 	crcs := make([]uint32, 0, count)
 	for i := 0; i < count; i++ {
 		cell, crc, err := ds.be.readCell(slot + i)

@@ -33,7 +33,9 @@ var ErrCellMissing = errCellMissing
 type CellBackend interface {
 	// ReadRun returns count cells starting at slot as one contiguous buffer
 	// of count*elemSize bytes plus each cell's recorded checksum. A slot the
-	// backend never stored fails with an error wrapping ErrCellMissing.
+	// backend never stored fails with an error wrapping ErrCellMissing. The
+	// buffer becomes the store's, which may recycle it into ReadBuffers: an
+	// implementation must never return memory it keeps or reuses.
 	ReadRun(slot, count int) (data []byte, crcs []uint32, err error)
 	// WriteRun stores count contiguous cells (flattened into data) and their
 	// checksums starting at slot. Checksums are stored verbatim, never

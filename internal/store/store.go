@@ -245,40 +245,37 @@ func (d *Device) read(k cellKey) ([]byte, error) {
 	return data, nil
 }
 
-// readRun reads count contiguous cells starting at k as one backend I/O when
-// the backend supports bulk reads (the fan-out executor's coalesced runs map
-// to a single pread this way), verifying each cell's checksum. The returned
-// slices subdivide one backend buffer.
-func (d *Device) readRun(k cellKey, count int) ([][]byte, error) {
+// readRun reads count contiguous cells starting at k as one backend I/O
+// through the bulk runIO interface (the fan-out executor's coalesced runs
+// map to a single pread this way), verifying each cell's checksum. The
+// returned cells subdivide raw, the one backend buffer, which the caller
+// owns (see ReadBuffers).
+func (d *Device) readRun(r runIO, k cellKey, count int) (cells [][]byte, raw []byte, err error) {
 	if d.failed {
-		return nil, fmt.Errorf("%w: device %d", ErrFailed, d.id)
-	}
-	r, ok := d.be.(runIO)
-	if !ok {
-		return nil, errCellMissing // caller falls back to per-cell reads
+		return nil, nil, fmt.Errorf("%w: device %d", ErrFailed, d.id)
 	}
 	slot := d.slot(k)
 	raw, crcs, err := r.readRun(slot, count)
 	if err != nil {
 		if errors.Is(err, errCellMissing) {
-			return nil, fmt.Errorf("store: device %d missing elements in run at %v", d.id, k)
+			return nil, nil, fmt.Errorf("store: device %d missing elements in run at %v", d.id, k)
 		}
-		return nil, fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
+		return nil, nil, fmt.Errorf("%w: device %d: %v", ErrUnavailable, d.id, err)
 	}
 	d.reads.Add(int64(count))
 	d.obsReads.Add(int64(count))
 	elem := len(raw) / count
-	out := make([][]byte, count)
-	for i := range out {
+	cells = make([][]byte, count)
+	for i := range cells {
 		cell := raw[i*elem : (i+1)*elem : (i+1)*elem]
 		if crc32.Checksum(cell, castagnoli) != crcs[i] {
 			s := slot + i
-			return nil, fmt.Errorf("%w: device %d stripe %d row %d",
+			return nil, nil, fmt.Errorf("%w: device %d stripe %d row %d",
 				ErrCorrupt, d.id, s/d.rows, s%d.rows)
 		}
-		out[i] = cell
+		cells[i] = cell
 	}
-	return out, nil
+	return cells, raw, nil
 }
 
 // Store is an erasure-coded append-only blob store.
