@@ -1,10 +1,10 @@
 # Developer entry points. `make ci` is the gate every change should pass:
-# vet, the full test suite under the race detector, and a short benchmark
+# gofmt and vet, the full test suite under the race detector, and a short benchmark
 # smoke run proving the kernel and pooled paths still execute.
 
 GO ?= go
 
-.PHONY: all build test ci vet race race-io ownership bench-smoke bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
+.PHONY: all build test ci fmt-check vet race race-io ownership bench-smoke bench kernels-json kernels16-json widestripe readpath-smoke readpath-json fanout-json fuzz-smoke fuzz16-smoke chaos obs-smoke fanout-smoke writepath-smoke writepath-json disk-smoke disk-json repair-smoke repair-chaos repair-json cluster-smoke cluster-json
 
 all: build
 
@@ -13,6 +13,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -163,4 +167,4 @@ chaos:
 	CHAOS_SEED=$$seed $(GO) test -race -count=2 -run 'Chaos|FaultSequence|Replays|FaultStreams|StreamSourceFault|StreamSinkFault' \
 		./internal/faultinject/ ./internal/shardio/
 
-ci: vet race race-io ownership bench-smoke widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos
+ci: fmt-check vet race race-io ownership bench-smoke widestripe readpath-smoke obs-smoke fanout-smoke writepath-smoke disk-smoke disk-json repair-smoke repair-chaos cluster-smoke cluster-json chaos

@@ -195,12 +195,12 @@ func buildScheme() *core.Scheme {
 	)
 	switch strings.ToLower(*code) {
 	case "rs":
-		var c *rs.Code
+		var c *rs.Code[uint8]
 		if c, err = rs.New(*k, *m); err == nil {
 			scheme, err = core.NewScheme(c, layout.Form(*form))
 		}
 	case "lrc":
-		var c *lrc.Code
+		var c *lrc.Code[uint8]
 		if c, err = lrc.New(*k, *l, *m); err == nil {
 			scheme, err = core.NewScheme(c, layout.Form(*form))
 		}

@@ -12,14 +12,22 @@
 // survivors' rows (matrix.SpanSolve). This handles MDS and non-MDS
 // candidates (LRC) uniformly, including LRC's beyond-guarantee recoverable
 // patterns.
+//
+// Base is generic over the symbol type, so one engine serves GF(2^8) codes
+// and the GF(2^16) wide-stripe codes, whose n = k+m can exceed GF(2^8)'s 256
+// distinct points. Wide symbols are packed little-endian in ordinary byte
+// shards, so every code satisfies the same Code interface and flows through
+// the stores, the streaming pipeline and the fan-out executor unchanged;
+// shard sizes just have to hold whole symbols.
 package codes
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
-	"repro/internal/gf"
 	"repro/internal/matrix"
 )
 
@@ -95,10 +103,10 @@ type IntoReconstructor interface {
 	ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error
 }
 
-// WideSymbolCode is implemented by codes whose elements are multi-byte
-// field symbols. SymbolBytes is the symbol width in bytes — shard sizes
-// must be a multiple of it. Codes that don't implement it operate
-// byte-wise (width 1).
+// WideSymbolCode is implemented by codes whose shard sizes must be a
+// multiple of some width: SymbolBytes is that granularity in bytes — the
+// field symbol width for generator-matrix codes, the packet count for CRS.
+// Codes that don't implement it operate byte-wise (width 1).
 type WideSymbolCode interface {
 	SymbolBytes() int
 }
@@ -121,10 +129,6 @@ func SymbolBytesOf(c Code) int {
 type PositionalCoder interface {
 	PositionalKernel() bool
 }
-
-// PositionalKernel reports true: Base codes apply the generator matrix
-// byte-position by byte-position.
-func (b *Base) PositionalKernel() bool { return true }
 
 // baseScratch holds the index and shard-pointer slices a decode needs,
 // recycled through a pool so steady-state reconstruct allocates nothing.
@@ -153,96 +157,159 @@ func putScratch(s *baseScratch) {
 	scratchPool.Put(s)
 }
 
-// Base implements the generator-matrix-driven parts of Code. Concrete codes
-// embed it and supply Name and RecoverySets.
-type Base struct {
-	gen *matrix.Matrix // n×k, first k rows identity
+// maskWords is the width of one erasure-pattern bitmask in the decode
+// cache; it bounds supported n at 64·maskWords elements.
+const maskWords = 16
+
+// MaxN is the widest code Base supports (decode-cache mask width).
+const MaxN = 64 * maskWords
+
+// MaxElements is the largest n a code over the field of S can have: the
+// field's distinct points for GF(2^8), the decode-cache width for GF(2^16).
+func MaxElements[S matrix.Symbol]() int { return min(matrix.FieldOf[S]().Order(), MaxN) }
+
+// Base implements the generator-matrix-driven parts of Code over the field
+// of S. Concrete codes embed it and supply Name and RecoverySets.
+type Base[S matrix.Symbol] struct {
+	f   matrix.Field[S]
+	gen *matrix.Matrix[S] // n×k, first k rows identity
 	// parityMat is gen's parity block (rows k..n), precomputed so the encode
 	// hot path never re-slices the generator.
-	parityMat *matrix.Matrix
+	parityMat *matrix.Matrix[S]
 	n         int
 	k         int
 	ft        int
 	// decodeCache memoizes SpanSolve coefficient matrices keyed by the
 	// (available, targets) bitmask pair — a storage system repairs the
 	// same failure pattern for every stripe, so the solve is paid once.
-	// Only used when n ≤ 64 (one word per mask). Guarded by decodeMu rather
-	// than sync.Map: loading a [2]uint64 key through an interface would box
-	// it and allocate, which the zero-alloc decode path cannot afford.
+	// Guarded by decodeMu rather than sync.Map: loading an array key
+	// through an interface would box it and allocate, which the zero-alloc
+	// decode path cannot afford.
 	decodeMu    sync.RWMutex
-	decodeCache map[[2]uint64]*matrix.Matrix
+	decodeCache map[[2 * maskWords]uint64]*matrix.Matrix[S]
 }
 
-// NewBase wraps an n×k systematic generator matrix. It panics if the first
-// k rows are not the identity (the codes own their constructors, so a
-// violation is a programming error, not an input error). Fault tolerance is
-// computed by exhaustive search over erasure patterns, which is affordable
-// for the storage-system scale parameters this repo targets (n ≤ ~20).
-func NewBase(gen *matrix.Matrix) *Base {
+// NewBase wraps an n×k systematic generator matrix with the fault
+// tolerance its constructor declares. Searching every erasure pattern
+// instead is combinatorial (C(132,4) ≈ 18M solves for a (128,4) code), so
+// the rule is: a construction with a closed-form guarantee (Cauchy blocks
+// are MDS) declares it, and one without (LRC) declares its target and
+// audits it with VerifyFaultTolerance. NewBase panics if the generator is
+// malformed or the declaration exceeds n-k — the codes own their
+// constructors, so a violation is a programming error, not an input error.
+func NewBase[S matrix.Symbol](gen *matrix.Matrix[S], declaredFT int) *Base[S] {
 	n, k := gen.Rows(), gen.Cols()
 	if n < k || k < 1 {
 		panic(fmt.Sprintf("codes: invalid generator %d×%d", n, k))
 	}
+	if n > MaxN {
+		panic(fmt.Sprintf("codes: n=%d exceeds limit %d", n, MaxN))
+	}
 	if !gen.SubMatrix(0, k, 0, k).IsIdentity() {
 		panic("codes: generator is not systematic")
 	}
-	b := &Base{
+	if declaredFT < 0 || declaredFT > n-k {
+		panic(fmt.Sprintf("codes: declared fault tolerance %d out of [0,%d]", declaredFT, n-k))
+	}
+	return &Base[S]{
+		f:           matrix.FieldOf[S](),
 		gen:         gen,
 		parityMat:   gen.SubMatrix(k, n, 0, k),
 		n:           n,
 		k:           k,
-		decodeCache: make(map[[2]uint64]*matrix.Matrix),
+		ft:          declaredFT,
+		decodeCache: make(map[[2 * maskWords]uint64]*matrix.Matrix[S]),
 	}
-	b.ft = b.computeFaultTolerance()
-	return b
 }
 
 // N returns the total number of elements per row.
-func (b *Base) N() int { return b.n }
+func (b *Base[S]) N() int { return b.n }
 
 // K returns the number of data elements per row.
-func (b *Base) K() int { return b.k }
+func (b *Base[S]) K() int { return b.k }
 
-// FaultTolerance returns the guaranteed erasure tolerance.
-func (b *Base) FaultTolerance() int { return b.ft }
+// FaultTolerance returns the declared guaranteed erasure tolerance.
+func (b *Base[S]) FaultTolerance() int { return b.ft }
 
 // Generator returns the generator matrix. Callers must not modify it.
-func (b *Base) Generator() *matrix.Matrix { return b.gen }
+func (b *Base[S]) Generator() *matrix.Matrix[S] { return b.gen }
+
+// SymbolBytes returns the symbol width: shard sizes must be a multiple.
+func (b *Base[S]) SymbolBytes() int { return b.f.SymbolBytes() }
+
+// PositionalKernel reports true: the generator matrix applies symbol
+// position by symbol position, so any whole-symbol byte sub-range of every
+// shard encodes independently.
+func (b *Base[S]) PositionalKernel() bool { return true }
+
+// Label formats a code name from its family and parameters, tagging codes
+// over wide fields with the symbol width: "RS(6,3)", "LRC16(64,8,2)".
+// Persisted manifests match schemes by this name.
+func (b *Base[S]) Label(family string, params ...int) string {
+	if bits := 8 * b.f.SymbolBytes(); bits > 8 {
+		family += strconv.Itoa(bits)
+	}
+	ps := make([]string, len(params))
+	for i, p := range params {
+		ps[i] = strconv.Itoa(p)
+	}
+	return family + "(" + strings.Join(ps, ",") + ")"
+}
 
 // solveCoefficients returns the SpanSolve coefficient matrix expressing the
-// target rows in terms of the available rows, memoized per pattern when the
-// code is narrow enough to key with single-word bitmasks.
-func (b *Base) solveCoefficients(avail, targets []int) (*matrix.Matrix, error) {
-	var key [2]uint64
-	cacheable := b.n <= 64
-	if cacheable {
-		for _, a := range avail {
-			key[0] |= 1 << uint(a)
-		}
-		for _, t := range targets {
-			key[1] |= 1 << uint(t)
-		}
-		b.decodeMu.RLock()
-		coeff, ok := b.decodeCache[key]
-		b.decodeMu.RUnlock()
-		if ok {
-			return coeff, nil
-		}
+// target rows in terms of the available rows, memoized per pattern.
+func (b *Base[S]) solveCoefficients(avail, targets []int) (*matrix.Matrix[S], error) {
+	var key [2 * maskWords]uint64
+	for _, a := range avail {
+		key[a>>6] |= 1 << uint(a&63)
+	}
+	for _, t := range targets {
+		key[maskWords+t>>6] |= 1 << uint(t&63)
+	}
+	b.decodeMu.RLock()
+	coeff, ok := b.decodeCache[key]
+	b.decodeMu.RUnlock()
+	if ok {
+		return coeff, nil
 	}
 	coeff, err := matrix.SpanSolve(b.gen.SelectRows(avail), b.gen.SelectRows(targets))
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		b.decodeMu.Lock()
-		b.decodeCache[key] = coeff
-		b.decodeMu.Unlock()
-	}
+	b.decodeMu.Lock()
+	b.decodeCache[key] = coeff
+	b.decodeMu.Unlock()
 	return coeff, nil
 }
 
+// checkSize rejects a shard size that is not a whole number of symbols.
+func (b *Base[S]) checkSize(what string, size int) error {
+	if sb := b.f.SymbolBytes(); size%sb != 0 {
+		return fmt.Errorf("%w: %s size %d not a whole number of %d-byte symbols", ErrShardSize, what, size, sb)
+	}
+	return nil
+}
+
+func (b *Base[S]) checkData(data [][]byte) (int, error) {
+	if len(data) != b.k {
+		return 0, fmt.Errorf("%w: got %d data shards, want %d", ErrShardSize, len(data), b.k)
+	}
+	size := -1
+	for i, d := range data {
+		if d == nil {
+			return 0, fmt.Errorf("%w: data shard %d is nil", ErrShardSize, i)
+		}
+		if size == -1 {
+			size = len(d)
+		} else if len(d) != size {
+			return 0, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(d), size)
+		}
+	}
+	return size, b.checkSize("shard", size)
+}
+
 // Encode computes the parity shards for the given data shards.
-func (b *Base) Encode(data [][]byte) ([][]byte, error) {
+func (b *Base[S]) Encode(data [][]byte) ([][]byte, error) {
 	size, err := b.checkData(data)
 	if err != nil {
 		return nil, err
@@ -258,7 +325,7 @@ func (b *Base) Encode(data [][]byte) ([][]byte, error) {
 // EncodeInto computes the parity shards into the caller-provided cells —
 // the zero-allocation encode path. parity must hold n-k buffers, each the
 // size of a data shard; contents are overwritten.
-func (b *Base) EncodeInto(parity, data [][]byte) error {
+func (b *Base[S]) EncodeInto(parity, data [][]byte) error {
 	size, err := b.checkData(data)
 	if err != nil {
 		return err
@@ -275,72 +342,15 @@ func (b *Base) EncodeInto(parity, data [][]byte) error {
 	return nil
 }
 
-func (b *Base) checkData(data [][]byte) (int, error) {
-	if len(data) != b.k {
-		return 0, fmt.Errorf("%w: got %d data shards, want %d", ErrShardSize, len(data), b.k)
-	}
-	size := -1
-	for i, d := range data {
-		if d == nil {
-			return 0, fmt.Errorf("%w: data shard %d is nil", ErrShardSize, i)
-		}
-		if size == -1 {
-			size = len(d)
-		} else if len(d) != size {
-			return 0, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(d), size)
-		}
-	}
-	return size, nil
-}
-
 // Reconstruct rebuilds nil shards in place. shards must have length n.
-func (b *Base) Reconstruct(shards [][]byte) error {
+func (b *Base[S]) Reconstruct(shards [][]byte) error {
 	return b.ReconstructInto(shards, heapAlloc{})
 }
 
 // ReconstructInto rebuilds nil shards in place, drawing the output buffers
 // from alloc — the zero-allocation decode path when alloc recycles memory.
-func (b *Base) ReconstructInto(shards [][]byte, alloc Allocator) error {
-	if len(shards) != b.n {
-		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), b.n)
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	size := -1
-	for i, s := range shards {
-		if s == nil {
-			sc.targetIdx = append(sc.targetIdx, i)
-			continue
-		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(s), size)
-		}
-		sc.availIdx = append(sc.availIdx, i)
-	}
-	erased := sc.targetIdx
-	if len(erased) == 0 {
-		return nil
-	}
-	if size == -1 {
-		return fmt.Errorf("%w: all shards erased", ErrShardSize)
-	}
-	coeff, err := b.solveCoefficients(sc.availIdx, erased)
-	if err != nil {
-		return fmt.Errorf("%w: erased %v", ErrUnrecoverable, erased)
-	}
-	for _, a := range sc.availIdx {
-		sc.availShards = append(sc.availShards, shards[a])
-	}
-	for range erased {
-		sc.out = append(sc.out, alloc.GetShard(size))
-	}
-	coeff.MulVec(sc.out, sc.availShards)
-	for i, e := range erased {
-		shards[e] = sc.out[i]
-	}
-	return nil
+func (b *Base[S]) ReconstructInto(shards [][]byte, alloc Allocator) error {
+	return b.rebuild(shards, nil, true, alloc)
 }
 
 // ReconstructElements rebuilds only the listed target elements from the
@@ -348,13 +358,19 @@ func (b *Base) ReconstructInto(shards [][]byte, alloc Allocator) error {
 // succeeds as long as the *targets* are in the span of the survivors, even
 // when other erased elements are unrecoverable — exactly the degraded-read
 // situation, where a minimal recovery set was read and nothing else.
-func (b *Base) ReconstructElements(shards [][]byte, targets []int) error {
+func (b *Base[S]) ReconstructElements(shards [][]byte, targets []int) error {
 	return b.ReconstructElementsInto(shards, targets, heapAlloc{})
 }
 
 // ReconstructElementsInto is ReconstructElements drawing output buffers from
 // alloc — the zero-allocation degraded-read path when alloc recycles memory.
-func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error {
+func (b *Base[S]) ReconstructElementsInto(shards [][]byte, targets []int, alloc Allocator) error {
+	return b.rebuild(shards, targets, false, alloc)
+}
+
+// rebuild decodes the nil shards among targets — or every nil shard when
+// all is set — from the non-nil survivors.
+func (b *Base[S]) rebuild(shards [][]byte, targets []int, all bool, alloc Allocator) error {
 	if len(shards) != b.n {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), b.n)
 	}
@@ -363,6 +379,9 @@ func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc All
 	size := -1
 	for i, s := range shards {
 		if s == nil {
+			if all {
+				sc.targetIdx = append(sc.targetIdx, i)
+			}
 			continue
 		}
 		if size == -1 {
@@ -387,9 +406,12 @@ func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc All
 	if size == -1 {
 		return fmt.Errorf("%w: all shards erased", ErrShardSize)
 	}
+	if err := b.checkSize("shard", size); err != nil {
+		return err
+	}
 	coeff, err := b.solveCoefficients(sc.availIdx, missing)
 	if err != nil {
-		return fmt.Errorf("%w: targets %v", ErrUnrecoverable, missing)
+		return fmt.Errorf("%w: erased %v", ErrUnrecoverable, missing)
 	}
 	for _, a := range sc.availIdx {
 		sc.availShards = append(sc.availShards, shards[a])
@@ -406,12 +428,15 @@ func (b *Base) ReconstructElementsInto(shards [][]byte, targets []int, alloc All
 
 // ApplyDelta updates the n-k parity shards for an in-place change of data
 // element elem, where delta is newData XOR oldData.
-func (b *Base) ApplyDelta(parity [][]byte, elem int, delta []byte) error {
+func (b *Base[S]) ApplyDelta(parity [][]byte, elem int, delta []byte) error {
 	if len(parity) != b.n-b.k {
 		return fmt.Errorf("%w: got %d parity shards, want %d", ErrShardSize, len(parity), b.n-b.k)
 	}
 	if elem < 0 || elem >= b.k {
 		return fmt.Errorf("%w: data element %d out of [0,%d)", ErrShardSize, elem, b.k)
+	}
+	if err := b.checkSize("delta", len(delta)); err != nil {
+		return err
 	}
 	for t, p := range parity {
 		if len(p) != len(delta) {
@@ -419,13 +444,13 @@ func (b *Base) ApplyDelta(parity [][]byte, elem int, delta []byte) error {
 		}
 	}
 	for t, p := range parity {
-		gf.MulAddSlice(b.gen.At(b.k+t, elem), p, delta)
+		b.f.MulAddSlice(b.gen.At(b.k+t, elem), p, delta)
 	}
 	return nil
 }
 
 // CanRecover reports whether the erasure pattern is decodable.
-func (b *Base) CanRecover(erased []int) bool {
+func (b *Base[S]) CanRecover(erased []int) bool {
 	if len(erased) == 0 {
 		return true
 	}
@@ -446,48 +471,79 @@ func (b *Base) CanRecover(erased []int) bool {
 	return err == nil
 }
 
-// computeFaultTolerance finds the largest f such that every f-subset of
-// elements is recoverable, by exhaustive enumeration.
-func (b *Base) computeFaultTolerance() int {
-	for f := 1; f <= b.n-b.k; f++ {
-		if !b.allPatternsRecoverable(f) {
-			return f - 1
-		}
-	}
-	return b.n - b.k
-}
-
-func (b *Base) allPatternsRecoverable(f int) bool {
-	idx := make([]int, f)
-	ok := true
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if !ok {
-			return
-		}
-		if depth == f {
-			if !b.CanRecover(idx) {
-				ok = false
-			}
-			return
-		}
-		for i := start; i <= b.n-(f-depth); i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-	return ok
-}
-
 // VerifySet reports whether the surviving set `set` suffices to rebuild
 // element idx. Used by tests and by planners validating recovery sets.
-func (b *Base) VerifySet(idx int, set []int) bool {
+func (b *Base[S]) VerifySet(idx int, set []int) bool {
 	_, err := matrix.SpanSolve(b.gen.SelectRows(set), b.gen.SelectRows([]int{idx}))
 	return err == nil
 }
 
+// VerifyFaultTolerance checks the declared tolerance against real erasure
+// patterns: every pattern of size ft must be recoverable. When the total
+// pattern count is at most maxExhaustive it enumerates all of them (a
+// proof); otherwise it draws `samples` random patterns with the given next
+// function (an audit). Returns the first failing pattern, or nil.
+//
+// Constructors without a closed-form guarantee call this at build time
+// with a modest budget; tests audit with large ones.
+func (b *Base[S]) VerifyFaultTolerance(maxExhaustive, samples int, next func(n int) int) []int {
+	f := b.ft
+	if f == 0 {
+		return nil
+	}
+	total := 1
+	for i := 0; i < f; i++ {
+		total *= b.n - i
+		total /= i + 1
+		if total > maxExhaustive {
+			break
+		}
+	}
+	if total <= maxExhaustive {
+		var bad []int
+		idx := make([]int, f)
+		var rec func(start, depth int) bool
+		rec = func(start, depth int) bool {
+			if depth == f {
+				if !b.CanRecover(idx) {
+					bad = append([]int(nil), idx...)
+					return false
+				}
+				return true
+			}
+			for i := start; i <= b.n-(f-depth); i++ {
+				idx[depth] = i
+				if !rec(i+1, depth+1) {
+					return false
+				}
+			}
+			return true
+		}
+		rec(0, 0)
+		return bad
+	}
+	pattern := make([]int, 0, f)
+	used := make(map[int]bool, f)
+	for s := 0; s < samples; s++ {
+		pattern = pattern[:0]
+		clear(used)
+		for len(pattern) < f {
+			e := next(b.n)
+			if !used[e] {
+				used[e] = true
+				pattern = append(pattern, e)
+			}
+		}
+		if !b.CanRecover(pattern) {
+			return append([]int(nil), pattern...)
+		}
+	}
+	return nil
+}
+
 var (
-	_ IntoEncoder       = (*Base)(nil)
-	_ IntoReconstructor = (*Base)(nil)
+	_ IntoEncoder       = (*Base[uint8])(nil)
+	_ IntoReconstructor = (*Base[uint16])(nil)
+	_ WideSymbolCode    = (*Base[uint16])(nil)
+	_ PositionalCoder   = (*Base[uint8])(nil)
 )

@@ -10,11 +10,22 @@ import (
 	"repro/internal/matrix"
 )
 
-// testCode builds a small MDS base: identity(k) stacked on Cauchy(m,k).
-func testCode(t *testing.T, k, m int) *Base {
-	t.Helper()
-	return NewBase(matrix.Identity(k).Stack(matrix.Cauchy(m, k)))
+// Every test body is generic over the symbol type and runs over both
+// fields; shard sizes scale with the symbol width so both see whole symbols.
+
+// forFields runs one generic test body over GF(2^8) and GF(2^16).
+func forFields(t *testing.T, gf8, gf16 func(*testing.T)) {
+	t.Run("GF8", gf8)
+	t.Run("GF16", gf16)
 }
+
+// testCode builds a small MDS base: identity(k) stacked on Cauchy(m,k).
+func testCode[S matrix.Symbol](k, m int) *Base[S] {
+	return NewBase(matrix.Identity[S](k).Stack(matrix.Cauchy[S](m, k)), m)
+}
+
+// symBytes is the symbol width of the field of S.
+func symBytes[S matrix.Symbol]() int { return matrix.FieldOf[S]().SymbolBytes() }
 
 func randShards(rng *rand.Rand, count, size int) [][]byte {
 	s := make([][]byte, count)
@@ -26,10 +37,17 @@ func randShards(rng *rand.Rand, count, size int) [][]byte {
 }
 
 func TestNewBaseValidation(t *testing.T) {
-	for name, gen := range map[string]*matrix.Matrix{
-		"nonsystematic": matrix.Cauchy(4, 2),
-		"tooFewRows":    matrix.New(1, 2),
-		"zeroCols":      matrix.New(3, 0),
+	forFields(t, newBaseValidation[uint8], newBaseValidation[uint16])
+}
+
+func newBaseValidation[S matrix.Symbol](t *testing.T) {
+	for name, fn := range map[string]func(){
+		"nonsystematic": func() { NewBase(matrix.Cauchy[S](4, 2), 0) },
+		"tooFewRows":    func() { NewBase(matrix.New[S](1, 2), 0) },
+		"zeroCols":      func() { NewBase(matrix.New[S](3, 0), 0) },
+		"tooWide":       func() { NewBase(matrix.Identity[S](MaxN+1), 0) },
+		"ftAboveNK":     func() { NewBase(matrix.Identity[S](2).Stack(matrix.Cauchy[S](1, 2)), 2) },
+		"ftNegative":    func() { NewBase(matrix.Identity[S](2).Stack(matrix.Cauchy[S](1, 2)), -1) },
 	} {
 		func() {
 			defer func() {
@@ -37,13 +55,15 @@ func TestNewBaseValidation(t *testing.T) {
 					t.Errorf("NewBase(%s) did not panic", name)
 				}
 			}()
-			NewBase(gen)
+			fn()
 		}()
 	}
 }
 
-func TestEncodeShapes(t *testing.T) {
-	b := testCode(t, 3, 2)
+func TestEncodeShapes(t *testing.T) { forFields(t, encodeShapes[uint8], encodeShapes[uint16]) }
+
+func encodeShapes[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	rng := rand.New(rand.NewSource(1))
 	parity, err := b.Encode(randShards(rng, 3, 64))
 	if err != nil {
@@ -54,8 +74,10 @@ func TestEncodeShapes(t *testing.T) {
 	}
 }
 
-func TestEncodeErrors(t *testing.T) {
-	b := testCode(t, 3, 2)
+func TestEncodeErrors(t *testing.T) { forFields(t, encodeErrors[uint8], encodeErrors[uint16]) }
+
+func encodeErrors[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	if _, err := b.Encode(make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("wrong shard count: err = %v", err)
 	}
@@ -65,16 +87,37 @@ func TestEncodeErrors(t *testing.T) {
 	if _, err := b.Encode([][]byte{{1, 2}, {3}, {4, 5}}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("ragged shards: err = %v", err)
 	}
+	if symBytes[S]() == 1 {
+		return
+	}
+	// Wide symbols: a size that splits a symbol is rejected everywhere.
+	odd := [][]byte{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	if _, err := b.Encode(odd); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("Encode of partial symbols: err = %v", err)
+	}
+	if err := b.EncodeInto([][]byte{make([]byte, 3), make([]byte, 3)}, odd); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("EncodeInto of partial symbols: err = %v", err)
+	}
+	if err := b.Reconstruct([][]byte{nil, odd[1], odd[2], odd[0], odd[0]}); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("Reconstruct of partial symbols: err = %v", err)
+	}
+	if err := b.ApplyDelta([][]byte{make([]byte, 3), make([]byte, 3)}, 0, make([]byte, 3)); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("ApplyDelta of partial symbols: err = %v", err)
+	}
 }
 
 func TestReconstructAllPatterns(t *testing.T) {
+	forFields(t, reconstructAllPatterns[uint8], reconstructAllPatterns[uint16])
+}
+
+func reconstructAllPatterns[S matrix.Symbol](t *testing.T) {
 	const k, m = 4, 3
-	b := testCode(t, k, m)
+	b := testCode[S](k, m)
 	if b.FaultTolerance() != m {
 		t.Fatalf("MDS base tolerance = %d, want %d", b.FaultTolerance(), m)
 	}
 	rng := rand.New(rand.NewSource(2))
-	data := randShards(rng, k, 37)
+	data := randShards(rng, k, 37*symBytes[S]())
 	parity, err := b.Encode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +154,13 @@ func TestReconstructAllPatterns(t *testing.T) {
 }
 
 func TestReconstructTooManyErasures(t *testing.T) {
-	b := testCode(t, 3, 2)
+	forFields(t, reconstructTooManyErasures[uint8], reconstructTooManyErasures[uint16])
+}
+
+func reconstructTooManyErasures[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	rng := rand.New(rand.NewSource(3))
-	data := randShards(rng, 3, 8)
+	data := randShards(rng, 3, 8*symBytes[S]())
 	parity, _ := b.Encode(data)
 	shards := [][]byte{nil, nil, nil, parity[0], parity[1]}
 	if err := b.Reconstruct(shards); !errors.Is(err, ErrUnrecoverable) {
@@ -122,9 +169,13 @@ func TestReconstructTooManyErasures(t *testing.T) {
 }
 
 func TestReconstructNoErasures(t *testing.T) {
-	b := testCode(t, 3, 2)
+	forFields(t, reconstructNoErasures[uint8], reconstructNoErasures[uint16])
+}
+
+func reconstructNoErasures[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	rng := rand.New(rand.NewSource(4))
-	data := randShards(rng, 3, 8)
+	data := randShards(rng, 3, 8*symBytes[S]())
 	parity, _ := b.Encode(data)
 	shards := append(append([][]byte{}, data...), parity...)
 	if err := b.Reconstruct(shards); err != nil {
@@ -133,7 +184,11 @@ func TestReconstructNoErasures(t *testing.T) {
 }
 
 func TestReconstructErrors(t *testing.T) {
-	b := testCode(t, 3, 2)
+	forFields(t, reconstructErrors[uint8], reconstructErrors[uint16])
+}
+
+func reconstructErrors[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	if err := b.Reconstruct(make([][]byte, 3)); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("short slice: err = %v", err)
 	}
@@ -146,8 +201,10 @@ func TestReconstructErrors(t *testing.T) {
 	}
 }
 
-func TestCanRecover(t *testing.T) {
-	b := testCode(t, 4, 2)
+func TestCanRecover(t *testing.T) { forFields(t, canRecover[uint8], canRecover[uint16]) }
+
+func canRecover[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](4, 2)
 	if !b.CanRecover(nil) {
 		t.Fatal("empty erasure must be recoverable")
 	}
@@ -162,8 +219,10 @@ func TestCanRecover(t *testing.T) {
 	}
 }
 
-func TestVerifySet(t *testing.T) {
-	b := testCode(t, 3, 2)
+func TestVerifySet(t *testing.T) { forFields(t, verifySet[uint8], verifySet[uint16]) }
+
+func verifySet[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	if !b.VerifySet(0, []int{1, 2, 3}) {
 		t.Fatal("3 survivors must rebuild one element of MDS(3,2)")
 	}
@@ -173,13 +232,27 @@ func TestVerifySet(t *testing.T) {
 }
 
 func TestFaultToleranceNonMDS(t *testing.T) {
-	// A deliberately weak code: second parity duplicates the first, so two
-	// erasures hitting both parities plus... actually any 2 erasures that
-	// include a data element covered only by the duplicated parity fail.
-	gen := matrix.Identity(2).Stack(matrix.FromRows([][]byte{{1, 1}, {1, 1}}))
-	b := NewBase(gen)
-	if b.FaultTolerance() != 1 {
-		t.Fatalf("duplicated-parity tolerance = %d, want 1", b.FaultTolerance())
+	forFields(t, faultToleranceNonMDS[uint8], faultToleranceNonMDS[uint16])
+}
+
+func faultToleranceNonMDS[S matrix.Symbol](t *testing.T) {
+	// A deliberately weak code: the second parity duplicates the first, so
+	// it tolerates one erasure, not the two its shape suggests. Declaring 2
+	// must fail the audit on the pattern {d0, d1}; declaring 1 must pass.
+	gen := matrix.Identity[S](2).Stack(matrix.FromRows([][]S{{1, 1}, {1, 1}}))
+	never := func(int) int { panic("exhaustive audit must not sample") }
+	if bad := NewBase(gen, 2).VerifyFaultTolerance(100, 0, never); len(bad) != 2 || bad[0] != 0 || bad[1] != 1 {
+		t.Fatalf("declared tolerance 2: audit failing pattern = %v, want [0 1]", bad)
+	}
+	b := NewBase(gen, 1)
+	if bad := b.VerifyFaultTolerance(100, 0, never); bad != nil {
+		t.Fatalf("declared tolerance 1: audit failed on %v", bad)
+	}
+	// A sampled audit finds the weakness too: every 2-pattern is drawn
+	// eventually, and {d0, d1} is one of six.
+	rng := rand.New(rand.NewSource(1))
+	if bad := NewBase(gen, 2).VerifyFaultTolerance(0, 200, rng.Intn); bad == nil {
+		t.Fatal("sampled audit missed the unrecoverable pattern")
 	}
 	// {d0, d1} unrecoverable: p0 = p1 = d0+d1 gives one equation.
 	if b.CanRecover([]int{0, 1}) {
@@ -192,10 +265,14 @@ func TestFaultToleranceNonMDS(t *testing.T) {
 }
 
 func TestReconstructedParityConsistent(t *testing.T) {
+	forFields(t, reconstructedParityConsistent[uint8], reconstructedParityConsistent[uint16])
+}
+
+func reconstructedParityConsistent[S matrix.Symbol](t *testing.T) {
 	// Reconstructing a parity shard must yield exactly what Encode yields.
-	b := testCode(t, 3, 3)
+	b := testCode[S](3, 3)
 	rng := rand.New(rand.NewSource(5))
-	data := randShards(rng, 3, 50)
+	data := randShards(rng, 3, 50*symBytes[S]())
 	parity, _ := b.Encode(data)
 	shards := append(append([][]byte{}, data...), parity...)
 	shards[4] = nil
@@ -208,18 +285,22 @@ func TestReconstructedParityConsistent(t *testing.T) {
 }
 
 func TestReconstructElementsPartialPattern(t *testing.T) {
+	forFields(t, reconstructElementsPartialPattern[uint8], reconstructElementsPartialPattern[uint16])
+}
+
+func reconstructElementsPartialPattern[S matrix.Symbol](t *testing.T) {
 	// The motivating case: more shards are erased than we need to rebuild,
 	// and the full pattern is NOT jointly recoverable — but the single
 	// target is. LRC-style: gen row 2 = d0+d1 (local parity of {0,1}),
 	// row 5 = d2+d3. Erase d0, d2, d3: {d2,d3} unrecoverable (only one
 	// parity covers them... erase its parity too).
-	gen := matrix.Identity(4).Stack(matrix.FromRows([][]byte{
+	gen := matrix.Identity[S](4).Stack(matrix.FromRows([][]S{
 		{1, 1, 0, 0},
 		{0, 0, 1, 1},
 	}))
-	b := NewBase(gen)
+	b := NewBase(gen, 1)
 	rng := rand.New(rand.NewSource(60))
-	data := randShards(rng, 4, 10)
+	data := randShards(rng, 4, 10*symBytes[S]())
 	parity, err := b.Encode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +329,11 @@ func TestReconstructElementsPartialPattern(t *testing.T) {
 }
 
 func TestReconstructElementsValidation(t *testing.T) {
-	b := testCode(t, 3, 2)
+	forFields(t, reconstructElementsValidation[uint8], reconstructElementsValidation[uint16])
+}
+
+func reconstructElementsValidation[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](3, 2)
 	if err := b.ReconstructElements(make([][]byte, 2), []int{0}); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("short shards: %v", err)
 	}
@@ -270,9 +355,13 @@ func TestReconstructElementsValidation(t *testing.T) {
 }
 
 func TestDecodeCacheCorrectAndConcurrent(t *testing.T) {
-	b := testCode(t, 4, 3)
+	forFields(t, decodeCacheCorrectAndConcurrent[uint8], decodeCacheCorrectAndConcurrent[uint16])
+}
+
+func decodeCacheCorrectAndConcurrent[S matrix.Symbol](t *testing.T) {
+	b := testCode[S](4, 3)
 	rng := rand.New(rand.NewSource(70))
-	data := randShards(rng, 4, 40)
+	data := randShards(rng, 4, 40*symBytes[S]())
 	parity, _ := b.Encode(data)
 	full := append(append([][]byte{}, data...), parity...)
 	// Hammer the same erasure pattern from many goroutines (run under

@@ -27,7 +27,7 @@ func makeStripeData(s *Scheme, size int, seed int64) [][]byte {
 // produce bit-identical stripes to the legacy allocating paths, across
 // codes (including packet-layout CRS via its EncodeInto) and layouts.
 func TestIntoPathsMatchAllocatingPaths(t *testing.T) {
-	const size = 96 // multiple of crs.W
+	const size = 96 // a whole number of CRS packets
 	codesUnder := []codes.Code{rs.Must(6, 3), lrc.Must(6, 2, 2), crs.Must(4, 2)}
 	for _, c := range codesUnder {
 		for _, form := range []layout.Form{layout.FormStandard, layout.FormECFRM} {
@@ -126,6 +126,49 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestDecodeCacheBeyond64 checks that a GF(2^8) code wider than 64
+// elements still caches its decode coefficients: the second degraded read
+// of a repeated erasure pattern must allocate nothing.
+func TestDecodeCacheBeyond64(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector, so allocs/op cannot be 0")
+	}
+	c := rs.Must(60, 10)
+	rng := rand.New(rand.NewSource(60))
+	data := make([][]byte, c.K())
+	for i := range data {
+		data[i] = make([]byte, 256)
+		rng.Read(data[i])
+	}
+	parity, err := c.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := append(append([][]byte{}, data...), parity...)
+	shards := make([][]byte, c.N())
+	targets := []int{3, 41, 65}
+	var bufs Buffers
+	decode := func() {
+		copy(shards, full)
+		for _, e := range targets {
+			shards[e] = nil
+		}
+		if err := c.ReconstructElementsInto(shards, targets, &bufs); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range targets {
+			if !bytes.Equal(shards[e], full[e]) {
+				t.Fatalf("element %d rebuilt wrong", e)
+			}
+			bufs.PutShard(shards[e])
+		}
+	}
+	decode() // solves and caches the pattern
+	if avg := testing.AllocsPerRun(20, decode); avg != 0 {
+		t.Fatalf("repeated decode of %s: %v allocs/op, want 0", c.Name(), avg)
 	}
 }
 

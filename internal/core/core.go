@@ -91,9 +91,9 @@ func (s *Scheme) Layout() layout.Layout { return s.lay }
 
 // SymbolBytes returns the candidate code's symbol width in bytes — the
 // granularity shard sizes must respect: 1 for byte-wise codes, 2 for the
-// GF(2^16) generator-matrix codes, 16 for packet-layout CRS16. Callers
-// sizing shards (stores, benchmarks) should round sizes up to a multiple of
-// this.
+// GF(2^16) generator-matrix codes, 8 for packet-layout CRS and 16 for
+// CRS16. store.New rejects element sizes that are not a multiple of it;
+// benchmarks round sizes up to one.
 func (s *Scheme) SymbolBytes() int { return s.symBytes }
 
 // N returns the number of disks a stripe spans.

@@ -127,7 +127,7 @@ func TestSchemeSymbolBytes(t *testing.T) {
 		want int
 	}{
 		{rs.Must(6, 3), 1},
-		{crs.Must(4, 2), 1},
+		{crs.Must(4, 2), 8},
 		{rs.Must16(32, 4), 2},
 		{lrc.Must16(32, 4, 2), 2},
 		{crs.Must16(8, 3), 16},

@@ -96,17 +96,3 @@ func buildSchedule(parityBits *bitmatrix.Matrix, w, k, m int) *Schedule {
 	}
 	return sched
 }
-
-// Schedule returns the code's precomputed XOR schedule.
-func (c *Code) Schedule() *Schedule { return c.xc.sched }
-
-// NaiveXOROps returns the operation count of the unscheduled encode (one op
-// per set generator bit), for comparison with Schedule().Ops().
-func (c *Code) NaiveXOROps() int { return c.xc.naiveXOROps() }
-
-// EncodeScheduled computes parity shards by running the XOR schedule. The
-// result is bit-identical to Encode but performs fewer XOR passes when rows
-// overlap. Shard sizes must be multiples of W bytes.
-func (c *Code) EncodeScheduled(data [][]byte) ([][]byte, error) {
-	return c.xc.encodeScheduled(data)
-}

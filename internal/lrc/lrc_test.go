@@ -4,55 +4,90 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
-	"repro/internal/gf"
+	"repro/internal/matrix"
 )
 
-func TestNewValidation(t *testing.T) {
-	for _, p := range [][3]int{{0, 1, 1}, {6, 0, 2}, {6, 2, 0}, {7, 2, 2}, {250, 2, 10}} {
-		if _, err := New(p[0], p[1], p[2]); err == nil {
+// Every test body is generic over the symbol type and runs over both
+// fields through forFields; shard sizes are even so GF(2^16) sees whole
+// symbols.
+
+// forFields runs one generic test body over GF(2^8) and GF(2^16).
+func forFields(t *testing.T, gf8, gf16 func(*testing.T)) {
+	t.Run("GF8", gf8)
+	t.Run("GF16", gf16)
+}
+
+func mustCode[S matrix.Symbol](k, l, m int) *Code[S] { return must(newCode[S](k, l, m)) }
+
+// symbolAt reads symbol i of a shard holding little-endian packed symbols.
+func symbolAt[S matrix.Symbol](shard []byte, i int) S {
+	sb := matrix.FieldOf[S]().SymbolBytes()
+	var v uint16
+	for b := sb - 1; b >= 0; b-- {
+		v = v<<8 | uint16(shard[i*sb+b])
+	}
+	return S(v)
+}
+
+func TestNewValidation(t *testing.T) { forFields(t, newValidation[uint8], newValidation[uint16]) }
+
+func newValidation[S matrix.Symbol](t *testing.T) {
+	lim := min(matrix.FieldOf[S]().Order(), 1024)
+	for _, p := range [][3]int{{0, 1, 1}, {6, 0, 2}, {6, 2, 0}, {7, 2, 2}, {lim - 10, 2, 10}} {
+		if _, err := newCode[S](p[0], p[1], p[2]); err == nil {
 			t.Errorf("New(%d,%d,%d) succeeded, want error", p[0], p[1], p[2])
 		}
 	}
 }
 
 func TestMustPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Must(7,2,2) did not panic")
-		}
-	}()
-	Must(7, 2, 2)
+	for name, fn := range map[string]func(){
+		"Must":   func() { Must(7, 2, 2) },
+		"Must16": func() { Must16(7, 2, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s(7,2,2) did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestNameAndParams(t *testing.T) {
-	c := Must(6, 2, 2)
-	if c.Name() != "LRC(6,2,2)" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-	if c.K() != 6 || c.L() != 2 || c.M() != 2 || c.N() != 10 || c.GroupSize() != 3 {
-		t.Fatalf("params wrong: %s k=%d l=%d m=%d n=%d gs=%d",
-			c.Name(), c.K(), c.L(), c.M(), c.N(), c.GroupSize())
-	}
-}
-
-func TestFaultTolerancePaperConfigs(t *testing.T) {
-	// Azure LRC guarantees any m+1 concurrent erasures; the paper's Fig. 6
-	// walkthrough relies on (6,2,2) recovering arbitrary triple failures.
-	for _, p := range [][3]int{{6, 2, 2}, {8, 2, 3}, {10, 2, 4}} {
-		c := Must(p[0], p[1], p[2])
-		if got, want := c.FaultTolerance(), p[2]+1; got != want {
-			t.Errorf("%s tolerance = %d, want %d", c.Name(), got, want)
+	for name, c := range map[string]interface {
+		Name() string
+		K() int
+		L() int
+		M() int
+		N() int
+		GroupSize() int
+	}{"LRC(6,2,2)": Must(6, 2, 2), "LRC16(6,2,2)": Must16(6, 2, 2)} {
+		if c.Name() != name {
+			t.Fatalf("Name = %q, want %q", c.Name(), name)
+		}
+		if c.K() != 6 || c.L() != 2 || c.M() != 2 || c.N() != 10 || c.GroupSize() != 3 {
+			t.Fatalf("params wrong: %s k=%d l=%d m=%d n=%d gs=%d",
+				c.Name(), c.K(), c.L(), c.M(), c.N(), c.GroupSize())
 		}
 	}
 }
 
 func TestGeneratorStructure(t *testing.T) {
-	c := Must(6, 2, 2)
+	forFields(t, generatorStructure[uint8], generatorStructure[uint16])
+}
+
+func generatorStructure[S matrix.Symbol](t *testing.T) {
+	f := matrix.FieldOf[S]()
+	c := mustCode[S](6, 2, 2)
 	g := c.Generator()
 	// Local parity rows: 1s exactly over their group.
 	for j := 0; j < 6; j++ {
-		want := byte(0)
+		want := S(0)
 		if j < 3 {
 			want = 1
 		}
@@ -74,7 +109,7 @@ func TestGeneratorStructure(t *testing.T) {
 		if x == 0 {
 			t.Fatalf("global coefficient for d%d is zero", j)
 		}
-		if g.At(9, j) != gf.Mul(x, x) {
+		if g.At(9, j) != f.Mul(x, x) {
 			t.Fatalf("m1 coefficient for d%d is not the square of m0's", j)
 		}
 		for jj := 0; jj < j; jj++ {
@@ -86,41 +121,91 @@ func TestGeneratorStructure(t *testing.T) {
 }
 
 func TestEncodeMatchesPaperEquations(t *testing.T) {
+	forFields(t, encodeMatchesPaperEquations[uint8], encodeMatchesPaperEquations[uint16])
+}
+
+func encodeMatchesPaperEquations[S matrix.Symbol](t *testing.T) {
 	// Equations (5)-(8): l0 = d0+d1+d2, l1 = d3+d4+d5,
 	// m_t = sum x_j^(t+1) d_j.
-	c := Must(6, 2, 2)
+	f := matrix.FieldOf[S]()
+	c := mustCode[S](6, 2, 2)
+	const symbols = 13
 	rng := rand.New(rand.NewSource(30))
 	data := make([][]byte, 6)
 	for i := range data {
-		data[i] = make([]byte, 13)
+		data[i] = make([]byte, symbols*f.SymbolBytes())
 		rng.Read(data[i])
 	}
 	parity, err := c.Encode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 13; b++ {
-		l0 := data[0][b] ^ data[1][b] ^ data[2][b]
-		l1 := data[3][b] ^ data[4][b] ^ data[5][b]
-		if parity[0][b] != l0 || parity[1][b] != l1 {
-			t.Fatalf("local parity mismatch at byte %d", b)
+	d := func(j, s int) S { return symbolAt[S](data[j], s) }
+	for s := 0; s < symbols; s++ {
+		l0 := d(0, s) ^ d(1, s) ^ d(2, s)
+		l1 := d(3, s) ^ d(4, s) ^ d(5, s)
+		if symbolAt[S](parity[0], s) != l0 || symbolAt[S](parity[1], s) != l1 {
+			t.Fatalf("local parity mismatch at symbol %d", s)
 		}
-		var m0, m1 byte
+		var m0, m1 S
 		for j := 0; j < 6; j++ {
 			x := c.points[j]
-			m0 ^= gf.Mul(x, data[j][b])
-			m1 ^= gf.Mul(gf.Mul(x, x), data[j][b])
+			m0 ^= f.Mul(x, d(j, s))
+			m1 ^= f.Mul(f.Mul(x, x), d(j, s))
 		}
-		if parity[2][b] != m0 || parity[3][b] != m1 {
-			t.Fatalf("global parity mismatch at byte %d", b)
+		if symbolAt[S](parity[2], s) != m0 || symbolAt[S](parity[3], s) != m1 {
+			t.Fatalf("global parity mismatch at symbol %d", s)
+		}
+	}
+}
+
+// TestWideStripeAudit audits the declared m+1 tolerance of the wide LRCs
+// the repo builds far beyond the construction's own budget: exhaustively
+// for (32,4,2), C(38,3) = 8436 patterns, and by 5000 samples for (64,8,2).
+func TestWideStripeAudit(t *testing.T) {
+	for _, c := range []*Code[uint16]{Must16(32, 4, 2), Must16(64, 8, 2)} {
+		start := time.Now()
+		rng := rand.New(rand.NewSource(int64(c.N())))
+		if bad := c.VerifyFaultTolerance(10000, 5000, rng.Intn); bad != nil {
+			t.Fatalf("%s: pattern %v unrecoverable", c.Name(), bad)
+		}
+		t.Logf("%s: audit took %v", c.Name(), time.Since(start))
+	}
+}
+
+func TestStorageOverhead(t *testing.T) {
+	// (6,2,2): 10 elements for 6 data = 1.67x, cheaper than 3-replication
+	// and costlier than RS(6,3)'s 1.5x — the Azure tradeoff.
+	c := Must(6, 2, 2)
+	got := float64(c.N()) / float64(c.K())
+	if got < 1.66 || got > 1.67 {
+		t.Fatalf("overhead = %v, want ~1.667", got)
+	}
+}
+
+func TestFaultTolerancePaperConfigs(t *testing.T) {
+	forFields(t, faultTolerancePaperConfigs[uint8], faultTolerancePaperConfigs[uint16])
+}
+
+func faultTolerancePaperConfigs[S matrix.Symbol](t *testing.T) {
+	// Azure LRC guarantees any m+1 concurrent erasures; the paper's Fig. 6
+	// walkthrough relies on (6,2,2) recovering arbitrary triple failures.
+	for _, p := range [][3]int{{6, 2, 2}, {8, 2, 3}, {10, 2, 4}} {
+		c := mustCode[S](p[0], p[1], p[2])
+		if got, want := c.FaultTolerance(), p[2]+1; got != want {
+			t.Errorf("%s tolerance = %d, want %d", c.Name(), got, want)
 		}
 	}
 }
 
 func TestTripleFailureRecoveryPaperFig6(t *testing.T) {
+	forFields(t, tripleFailureRecoveryPaperFig6[uint8], tripleFailureRecoveryPaperFig6[uint16])
+}
+
+func tripleFailureRecoveryPaperFig6[S matrix.Symbol](t *testing.T) {
 	// The paper's Fig. 6 case: three whole-group data elements lost
 	// (d3,d4,d5 of a group) recovered from l1 + m0 + m1.
-	c := Must(6, 2, 2)
+	c := mustCode[S](6, 2, 2)
 	rng := rand.New(rand.NewSource(31))
 	data := make([][]byte, 6)
 	for i := range data {
@@ -145,7 +230,11 @@ func TestTripleFailureRecoveryPaperFig6(t *testing.T) {
 }
 
 func TestAllTriplePatterns622(t *testing.T) {
-	c := Must(6, 2, 2)
+	forFields(t, allTriplePatterns622[uint8], allTriplePatterns622[uint16])
+}
+
+func allTriplePatterns622[S matrix.Symbol](t *testing.T) {
+	c := mustCode[S](6, 2, 2)
 	rng := rand.New(rand.NewSource(32))
 	data := make([][]byte, 6)
 	for i := range data {
@@ -176,9 +265,13 @@ func TestAllTriplePatterns622(t *testing.T) {
 }
 
 func TestSomeQuadRecoverable622(t *testing.T) {
+	forFields(t, someQuadRecoverable622[uint8], someQuadRecoverable622[uint16])
+}
+
+func someQuadRecoverable622[S matrix.Symbol](t *testing.T) {
 	// Azure's "maximally recoverable" property: many (not all) 4-failure
 	// patterns decode. {d0, l0, d3, l1} is decodable via globals.
-	c := Must(6, 2, 2)
+	c := mustCode[S](6, 2, 2)
 	if !c.CanRecover([]int{0, 6, 3, 7}) {
 		t.Fatal("{d0,l0,d3,l1} should be recoverable via global parities")
 	}
@@ -191,8 +284,10 @@ func TestSomeQuadRecoverable622(t *testing.T) {
 	}
 }
 
-func TestLocalGroup(t *testing.T) {
-	c := Must(6, 2, 2)
+func TestLocalGroup(t *testing.T) { forFields(t, localGroup[uint8], localGroup[uint16]) }
+
+func localGroup[S matrix.Symbol](t *testing.T) {
+	c := mustCode[S](6, 2, 2)
 	wants := []int{0, 0, 0, 1, 1, 1, 0, 1, -1, -1}
 	for idx, want := range wants {
 		if got := c.LocalGroup(idx); got != want {
@@ -208,7 +303,11 @@ func TestLocalGroup(t *testing.T) {
 }
 
 func TestRecoverySetsDataLocalFirst(t *testing.T) {
-	c := Must(6, 2, 2)
+	forFields(t, recoverySetsDataLocalFirst[uint8], recoverySetsDataLocalFirst[uint16])
+}
+
+func recoverySetsDataLocalFirst[S matrix.Symbol](t *testing.T) {
+	c := mustCode[S](6, 2, 2)
 	sets := c.RecoverySets(4) // d4, group 1
 	if len(sets) < 2 {
 		t.Fatalf("want local + global alternates, got %d sets", len(sets))
@@ -239,7 +338,11 @@ func TestRecoverySetsDataLocalFirst(t *testing.T) {
 }
 
 func TestRecoverySetsParities(t *testing.T) {
-	c := Must(6, 2, 2)
+	forFields(t, recoverySetsParities[uint8], recoverySetsParities[uint16])
+}
+
+func recoverySetsParities[S matrix.Symbol](t *testing.T) {
+	c := mustCode[S](6, 2, 2)
 	// Local parity l0 (index 6): cheapest set is its group's data.
 	sets := c.RecoverySets(6)
 	if len(sets[0]) != 3 {
@@ -267,8 +370,12 @@ func TestRecoverySetsParities(t *testing.T) {
 }
 
 func TestRecoverySetsAllElementsValid(t *testing.T) {
+	forFields(t, recoverySetsAllElementsValid[uint8], recoverySetsAllElementsValid[uint16])
+}
+
+func recoverySetsAllElementsValid[S matrix.Symbol](t *testing.T) {
 	for _, p := range [][3]int{{6, 2, 2}, {8, 2, 3}, {10, 2, 4}, {4, 2, 2}} {
-		c := Must(p[0], p[1], p[2])
+		c := mustCode[S](p[0], p[1], p[2])
 		for idx := 0; idx < c.N(); idx++ {
 			sets := c.RecoverySets(idx)
 			if len(sets) == 0 {
@@ -289,7 +396,11 @@ func TestRecoverySetsAllElementsValid(t *testing.T) {
 }
 
 func TestRecoverySetsOutOfRangePanics(t *testing.T) {
-	c := Must(6, 2, 2)
+	forFields(t, recoverySetsOutOfRangePanics[uint8], recoverySetsOutOfRangePanics[uint16])
+}
+
+func recoverySetsOutOfRangePanics[S matrix.Symbol](t *testing.T) {
+	c := mustCode[S](6, 2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range did not panic")
@@ -299,26 +410,20 @@ func TestRecoverySetsOutOfRangePanics(t *testing.T) {
 }
 
 func TestDegradedReadSavings(t *testing.T) {
+	forFields(t, degradedReadSavings[uint8], degradedReadSavings[uint16])
+}
+
+func degradedReadSavings[S matrix.Symbol](t *testing.T) {
 	// The LRC selling point: single data-element repair costs k/l reads,
 	// versus k for RS. Verify the cheapest set sizes.
 	for _, p := range [][3]int{{6, 2, 2}, {8, 2, 3}, {10, 2, 4}} {
-		c := Must(p[0], p[1], p[2])
+		c := mustCode[S](p[0], p[1], p[2])
 		for d := 0; d < c.K(); d++ {
 			if got := len(c.RecoverySets(d)[0]); got != c.GroupSize() {
 				t.Errorf("%s: cheapest repair of d%d costs %d, want %d",
 					c.Name(), d, got, c.GroupSize())
 			}
 		}
-	}
-}
-
-func TestStorageOverhead(t *testing.T) {
-	// (6,2,2): 10 elements for 6 data = 1.67x, cheaper than 3-replication
-	// and costlier than RS(6,3)'s 1.5x — the Azure tradeoff.
-	c := Must(6, 2, 2)
-	got := float64(c.N()) / float64(c.K())
-	if got < 1.66 || got > 1.67 {
-		t.Fatalf("overhead = %v, want ~1.667", got)
 	}
 }
 
@@ -357,10 +462,14 @@ func BenchmarkLocalRepairLRC622(b *testing.B) {
 }
 
 func TestQuadFailureRecoverableFraction622(t *testing.T) {
+	forFields(t, quadFailureRecoverableFraction622[uint8], quadFailureRecoverableFraction622[uint16])
+}
+
+func quadFailureRecoverableFraction622[S matrix.Symbol](t *testing.T) {
 	// Azure's LRC paper reports that (6,2,2) decodes about 86% of all
 	// 4-failure patterns (the "maximally recoverable" property: every
 	// information-theoretically decodable pattern decodes). Count ours.
-	c := Must(6, 2, 2)
+	c := mustCode[S](6, 2, 2)
 	total, recoverable := 0, 0
 	for a := 0; a < 10; a++ {
 		for b := a + 1; b < 10; b++ {
@@ -385,12 +494,14 @@ func TestQuadFailureRecoverableFraction622(t *testing.T) {
 	}
 }
 
-func TestMoreLocalGroups(t *testing.T) {
+func TestMoreLocalGroups(t *testing.T) { forFields(t, moreLocalGroups[uint8], moreLocalGroups[uint16]) }
+
+func moreLocalGroups[S matrix.Symbol](t *testing.T) {
 	// l > 2: the m+1 guarantee and local-repair cost must hold as the
 	// group count grows (Azure deploys l up to 14 data per group; here the
 	// interesting axis is more groups).
 	for _, p := range [][3]int{{9, 3, 2}, {12, 3, 3}, {8, 4, 2}, {12, 4, 3}} {
-		c := Must(p[0], p[1], p[2])
+		c := mustCode[S](p[0], p[1], p[2])
 		if got, want := c.FaultTolerance(), p[2]+1; got != want {
 			t.Errorf("%s tolerance = %d, want %d", c.Name(), got, want)
 		}

@@ -371,6 +371,9 @@ func New(scheme *core.Scheme, elemSize int) (*Store, error) {
 	if elemSize < 1 {
 		return nil, fmt.Errorf("store: element size %d must be positive", elemSize)
 	}
+	if sb := scheme.SymbolBytes(); elemSize%sb != 0 {
+		return nil, fmt.Errorf("store: element size %d is not a multiple of %s's %d-byte symbol", elemSize, scheme.Name(), sb)
+	}
 	rows := scheme.Layout().Rows()
 	devs := make([]*Device, scheme.N())
 	for i := range devs {

@@ -19,7 +19,7 @@ import (
 // wideGrid is the GF(2^16) wide-stripe sweep the store end-to-end tests
 // cover: stripes of k=32/64 data elements, widths no GF(2^8) code reaches.
 // Element sizes respect each scheme's SymbolBytes (2 for the matrix codes,
-// 16 for packet-layout CRS16).
+// 16 for packet-layout CRS16); store.New rejects any that do not.
 func wideGrid(t testing.TB) map[string]*core.Scheme {
 	t.Helper()
 	cells := make(map[string]*core.Scheme)
@@ -33,6 +33,32 @@ func wideGrid(t testing.TB) map[string]*core.Scheme {
 		}
 	}
 	return cells
+}
+
+// TestNewRejectsPartialSymbols checks that a store refuses, up front, an
+// element size its code cannot encode, instead of accepting appends and
+// failing at the first flush. The rejection covers the file-backed and
+// remote constructors too, since both go through New.
+func TestNewRejectsPartialSymbols(t *testing.T) {
+	for _, tc := range []struct {
+		code       codes.Code
+		bad, valid int
+	}{
+		{rs.Must16(32, 4), 3, 4},
+		{crs.Must(4, 2), 6, 8},
+		{crs.Must16(8, 3), 8, 16},
+	} {
+		scheme := core.MustScheme(tc.code, layout.FormECFRM)
+		if _, err := New(scheme, tc.bad); err == nil {
+			t.Errorf("%s: New accepted element size %d", scheme.Name(), tc.bad)
+		}
+		if _, _, err := OpenFileBacked(scheme, tc.bad, FileConfig{Dir: t.TempDir()}); err == nil {
+			t.Errorf("%s: OpenFileBacked accepted element size %d", scheme.Name(), tc.bad)
+		}
+		if _, err := New(scheme, tc.valid); err != nil {
+			t.Errorf("%s: element size %d: %v", scheme.Name(), tc.valid, err)
+		}
+	}
 }
 
 // TestWideStripeStoreEndToEnd proves the wide-stripe hot path through the

@@ -5,9 +5,8 @@
 //
 // The declaration style covers the classic array codes the EC-FRM paper
 // surveys (§II-B): vertical codes (X-Code, WEAVER — see internal/vertical)
-// and horizontal RAID-6 array codes (RDP, EVENODD — see internal/raid6),
-// including codes like RDP whose diagonal parity is computed over another
-// parity column.
+// and horizontal RAID-6 array codes (RDP, EVENODD), including codes like
+// RDP whose diagonal parity is computed over another parity column.
 //
 // Decoding is exact: erased cells are unknowns in the GF(2) constraint
 // system given by all equations, solved per byte-vector with
